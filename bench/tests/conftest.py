@@ -1,0 +1,7 @@
+"""Make the benchmark's modules and the factorspec sources importable, as
+`bench/run.py` does when it runs as a script."""
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
