@@ -75,8 +75,9 @@ class RunConfig:
 
     def grid(self) -> SearchGrid:
         steps = int(round(0.95 / self.b_step)) + 1
+        # compare the rounded value: 19 * 0.05 exceeds 0.95 in floating point
         b_values = tuple(
-            round(i * self.b_step, 10) for i in range(steps) if i * self.b_step <= 0.95
+            b for b in (round(i * self.b_step, 10) for i in range(steps)) if b <= 0.95
         )
         return SearchGrid(
             p_values=tuple(range(self.p_max + 1)),

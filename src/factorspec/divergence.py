@@ -21,11 +21,12 @@ class ZeroHandlingPolicy:
             raise ValueError("epsilon must be a small positive mass")
 
     def smooth(self, masses: np.ndarray) -> np.ndarray:
+        """Smooth each density along the last axis; leading axes index a
+        stack of densities, each rescaled by its own alpha."""
         masses = np.asarray(masses, dtype=float)
         zero = masses <= 0.0
-        num = int(zero.sum())
-        alpha = 1.0 - num * self.epsilon
-        if alpha <= 0.0:
+        alpha = 1.0 - np.count_nonzero(zero, axis=-1, keepdims=True) * self.epsilon
+        if np.any(alpha <= 0.0):
             raise ValueError("epsilon too large for the number of zero bins")
         return np.where(zero, self.epsilon, alpha * masses)
 
@@ -40,8 +41,8 @@ def _check_edges(P: SpectralDensity, Q: SpectralDensity) -> None:
         raise BinMismatch("densities must share identical bin edges")
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.sum(p * np.log(p / q)))
+def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.sum(p * np.log(p / q), axis=-1)
 
 
 def kl_divergence(
@@ -49,7 +50,7 @@ def kl_divergence(
 ) -> float:
     """D_KL(P||Q) with zero bins smoothed on both sides."""
     _check_edges(P, Q)
-    return _kl(policy.smooth(P.masses), policy.smooth(Q.masses))
+    return float(_kl(policy.smooth(P.masses), policy.smooth(Q.masses)))
 
 
 def js_divergence(
@@ -62,9 +63,14 @@ def js_divergence(
 
 def js_divergence_masses(
     p_masses: np.ndarray, q_masses: np.ndarray, policy: ZeroHandlingPolicy = DEFAULT_POLICY
-) -> float:
-    """js_divergence on raw mass arrays sharing an implicit common grid."""
+) -> float | np.ndarray:
+    """js_divergence on raw mass arrays sharing an implicit common grid.
+
+    Bins lie on the last axis; leading axes broadcast, so (P, 1, K) against
+    (1, B, K) scores a whole (P, B) surface in one call. 1-d inputs return a
+    float."""
     p = policy.smooth(p_masses)
     q = policy.smooth(q_masses)
     m = policy.smooth(0.5 * (p + q))
-    return 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
+    d = 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
+    return float(d) if d.ndim == 0 else d

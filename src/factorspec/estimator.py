@@ -2,7 +2,6 @@
 run averaging, and change-point flagging."""
 from __future__ import annotations
 
-import csv
 import math
 import threading
 from dataclasses import dataclass
@@ -68,13 +67,6 @@ class Timeline:
     def end_indices(self) -> tuple[int, ...]:
         return tuple(r.end_index for r in self.results)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["end_index", "p_hat", "b_hat", "divergence"])
-            for r in self.results:
-                writer.writerow([r.end_index, r.p_hat, r.b_hat, r.divergence])
-
 
 @dataclass(frozen=True)
 class RunAverage:
@@ -82,13 +74,6 @@ class RunAverage:
     p_ave: tuple[float, ...]
     b_ave: tuple[float, ...]
     run_count: int
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["end_index", "p_ave", "b_ave"])
-            for e, p, b in zip(self.end_indices, self.p_ave, self.b_ave):
-                writer.writerow([e, p, b])
 
 
 class ModelDensityCache:
@@ -124,23 +109,40 @@ class ModelDensityCache:
         return masses
 
 
-def _residual_eigenvalues(window: StandardizedWindow, p_values) -> dict[int, np.ndarray]:
-    """Eigenvalues of the p-level residual covariance for every requested p.
+def _residual_eigenvalues(window: StandardizedWindow, p_values) -> np.ndarray:
+    """Descending eigenvalues of (1/T) X X', after checking every p fits.
 
-    Subtracting the top-p principal part replaces the top p eigenvalues of
-    (1/T) X X' with zeros and leaves the rest untouched, so one
-    eigendecomposition serves every p."""
+    Subtracting the top-p principal part replaces the top p eigenvalues
+    with zeros and leaves the rest untouched, so this one spectrum serves
+    every p."""
     x = window.values
     n, t = x.shape
-    eigs = np.linalg.eigvalsh((x @ x.T) / t)[::-1]  # descending
-    out = {}
-    for p in p_values:
-        if p > min(n, t):
-            raise InvalidFactorCount(f"p={p} exceeds min(N, T)={min(n, t)}")
-        vals = eigs.copy()
-        vals[:p] = 0.0
-        out[p] = vals
-    return out
+    p_max = max(p_values)
+    if p_max > min(n, t):
+        raise InvalidFactorCount(f"p={p_max} exceeds min(N, T)={min(n, t)}")
+    return np.linalg.eigvalsh((x @ x.T) / t)[::-1]
+
+
+def _level_masses(
+    eigs: np.ndarray, p_values: list[int], base_masses: np.ndarray, edges: np.ndarray
+) -> np.ndarray:
+    """(P, K) empirical masses of every p-level spectrum, derived from the
+    histogram `base_masses` of the lowest level (top p_values[0] zeroed).
+
+    Each higher level moves its extra zeroed eigenvalues from their bins to
+    bin 0 (edges start at 0, so a zero always lands there). Counts stay
+    integers and are divided by N last, exactly as the histogram does."""
+    n = eigs.size
+    p0 = p_values[0]
+    moved = np.clip(eigs[p0 : p_values[-1]], edges[0], edges[-1])
+    # np.histogram's rule: edges[j] <= x < edges[j + 1], last bin closed
+    bins = np.minimum(np.searchsorted(edges, moved, side="right") - 1, len(edges) - 2)
+    removed = np.zeros((moved.size + 1, len(edges) - 1), dtype=np.int64)
+    removed[np.arange(1, moved.size + 1), bins] = 1
+    removed = np.cumsum(removed, axis=0)[[p - p0 for p in p_values]]
+    counts = np.rint(base_masses * n).astype(np.int64) - removed
+    counts[:, 0] += np.array(p_values) - p0
+    return counts / n
 
 
 def shared_bin_edges(
@@ -163,44 +165,55 @@ def estimate_window(
     policy: ZeroHandlingPolicy | None = None,
 ) -> EstimationResult:
     """Joint argmin of the JS divergence between the p-level empirical
-    density and the b-model density; ties break to smaller p, then smaller b."""
+    density and the b-model density.
+
+    The whole (p, b) surface is scored in one call. Tie rule: among the
+    pairs within 1e-15 of the minimum, the smallest p wins, then the
+    smallest b. A b whose model density fails is skipped."""
     cache = cache if cache is not None else ModelDensityCache()
     policy = policy if policy is not None else ZeroHandlingPolicy()
     n, t = window.values.shape
     c = n / t
-    eigs_by_p = _residual_eigenvalues(window, grid.p_values)
-    emp_max = max(float(v.max()) for v in eigs_by_p.values())
-    edges = shared_bin_edges(emp_max, c, grid.bins)
+    eigs = _residual_eigenvalues(window, grid.p_values)
+    p_values = sorted(grid.p_values)
+    base = eigs.copy()
+    base[: p_values[0]] = 0.0
+    edges = shared_bin_edges(float(base.max()), c, grid.bins)
+    emp_masses = _level_masses(
+        eigs, p_values, density_from_eigenvalues(base, edges).masses, edges
+    )
 
-    emp_masses = {
-        p: density_from_eigenvalues(v, edges).masses for p, v in eigs_by_p.items()
-    }
-
-    surface: dict[tuple[int, float], float] = {}
-    best: tuple[float, int, float] | None = None
+    b_values: list[float] = []
+    model_masses = []
     last_error: FactorSpecError | None = None
     for b in sorted(grid.b_values):
         try:
-            model_masses = cache.masses(b, c, grid.epsilon, edges)
+            model_masses.append(cache.masses(b, c, grid.epsilon, edges))
         except FactorSpecError as exc:
             last_error = exc
             continue
-        for p in sorted(grid.p_values):
-            d = js_divergence_masses(emp_masses[p], model_masses, policy)
-            surface[(p, b)] = d
-            if best is None or d < best[0] - 1e-15:
-                best = (d, p, b)
-            elif abs(d - best[0]) <= 1e-15 and (p, b) < (best[1], best[2]):
-                best = (d, p, b)
-    if best is None:
+        b_values.append(b)
+    if not b_values:
         raise GridExhausted(f"every (p, b) pair failed; last error: {last_error}")
-    d, p_hat, b_hat = best
+
+    surface = js_divergence_masses(
+        emp_masses[:, None, :], np.stack(model_masses)[None, :, :], policy
+    )
+    first = int(np.argmax(surface <= surface.min() + 1e-15))  # row-major: p, then b
+    i, j = divmod(first, len(b_values))
+    kept = None
+    if keep_surface:
+        kept = {
+            (p, b): float(surface[pi, bj])
+            for bj, b in enumerate(b_values)
+            for pi, p in enumerate(p_values)
+        }
     return EstimationResult(
         end_index=window.end_index,
-        p_hat=p_hat,
-        b_hat=b_hat,
-        divergence=d,
-        divergence_surface=surface if keep_surface else None,
+        p_hat=p_values[i],
+        b_hat=b_values[j],
+        divergence=float(surface[i, j]),
+        divergence_surface=kept,
     )
 
 

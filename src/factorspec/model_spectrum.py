@@ -59,23 +59,6 @@ def _as_complex(z) -> complex:
     return z.z if isinstance(z, ComplexPoint) else complex(z)
 
 
-def _quartic_coeffs(z: complex, b: float, c: float) -> np.ndarray:
-    """Coefficients (degree 4 down to 0) of the moment polynomial at z."""
-    a2 = 1.0 - b * b
-    a4 = a2 * a2
-    b2 = b * b
-    return np.array(
-        [
-            a4 * c * c,
-            2.0 * a2 * c * (-(1.0 + b2) * z + a2 * c),
-            a4 * z * z - 2.0 * a2 * c * (1.0 + b2) * z + (c * c - 1.0) * a4,
-            -2.0 * a4,
-            -a4,
-        ],
-        dtype=complex,
-    )
-
-
 def _newton_refine(roots: np.ndarray, coeffs: np.ndarray, steps: int = 2) -> np.ndarray:
     """Polish roots with a few Newton steps; coeffs indexed [..., degree desc]."""
     c4, c3, c2, c1, c0 = (coeffs[..., k] for k in range(5))

@@ -3,6 +3,8 @@
 Nothing here imports from the package under test, so agreement between the
 two implementations is meaningful evidence.
 """
+import functools
+
 import numpy as np
 from scipy.linalg import toeplitz
 
@@ -38,14 +40,21 @@ def ar1_covariance(b: float, T: int) -> np.ndarray:
     return toeplitz(b ** np.arange(T))
 
 
+@functools.lru_cache(maxsize=None)
+def _ar1_spectrum(b: float, T: int) -> np.ndarray:
+    eigs = np.linalg.eigvalsh(ar1_covariance(b, T))
+    eigs.flags.writeable = False
+    return eigs
+
+
 def ar1_moment(b: float, k: int, T: int = 4000) -> float:
     """Normalized trace moment (1/T) tr(Sigma^k) of the AR(1) covariance.
 
     Computed by brute force from the Toeplitz matrix; T is large enough
-    that boundary effects are O(1/T).
+    that boundary effects are O(1/T). The spectrum is computed once per
+    (b, T) and shared by every k.
     """
-    eigs = np.linalg.eigvalsh(ar1_covariance(b, T))
-    return float(np.mean(eigs**k))
+    return float(np.mean(_ar1_spectrum(b, T) ** k))
 
 
 def ar1_mgf_series(b: float, order: int) -> np.ndarray:

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from factorspec import Ar1Spec, generate_ar1
-from factorspec.cli import EXIT_CONFIG, EXIT_OK, main
+from factorspec import Ar1Spec, SearchGrid, generate_ar1
+from factorspec.cli import EXIT_CONFIG, EXIT_OK, RunConfig, main
 
 DETECT_FLAGS = [
     "--window-length", "30",
@@ -73,6 +73,14 @@ def test_detect_dump_surface(small_csv, tmp_path):
         rows = list(csv.DictReader(fh))
     # 4 windows x 3 p values x 3 b values
     assert len(rows) == 36
+
+
+def test_default_grid_reaches_b_max():
+    """19 * 0.05 is 0.9500000000000001 in floating point, so a raw comparison
+    with 0.95 drops the last b value; the CLI must search SearchGrid's b grid."""
+    grid = RunConfig(case="case1").grid()
+    assert grid.b_values == SearchGrid().b_values
+    assert grid.b_values[-1] == 0.95
 
 
 def test_detect_missing_input_is_config_error(tmp_path, capsys):

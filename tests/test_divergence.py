@@ -123,3 +123,41 @@ def test_masses_variant_agrees_with_density_variant():
             SpectralDensity(np.linspace(0, 1, 16), q),
         )
     )
+
+
+def test_smooth_on_a_stack_equals_smooth_per_row():
+    policy = ZeroHandlingPolicy(epsilon=1e-6)
+    stack = np.array(
+        [[0.7, 0.3, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.0, 1.0, 0.0, 0.0]]
+    )
+    smoothed = policy.smooth(stack[None, :, :])
+    for row, want in zip(smoothed[0], stack):
+        assert np.array_equal(row, policy.smooth(want))
+
+
+def test_smooth_rejects_stack_with_one_sparse_row():
+    policy = ZeroHandlingPolicy(epsilon=0.3)
+    ok = np.array([0.5, 0.5, 0.0, 0.0, 0.0])  # alpha = 0.1
+    sparse = np.array([1.0, 0.0, 0.0, 0.0, 0.0])  # alpha = -0.2
+    policy.smooth(ok)
+    with pytest.raises(ValueError):
+        policy.smooth(np.stack([ok, sparse]))
+    with pytest.raises(ValueError):
+        js_divergence_masses(np.stack([ok, ok])[:, None, :], sparse[None, None, :], policy)
+
+
+def test_broadcast_surface_equals_scalar_calls():
+    rng = np.random.default_rng(1)
+    p = rng.dirichlet(np.ones(30), size=5)
+    p[:, :4] = 0.0  # zero bins on the empirical side
+    p /= p.sum(axis=1, keepdims=True)
+    q = rng.dirichlet(np.full(30, 0.3), size=7)
+    q[2, 10:] = 0.0
+    q /= q.sum(axis=1, keepdims=True)
+    surface = js_divergence_masses(p[:, None, :], q[None, :, :])
+    assert surface.shape == (5, 7)
+    for i in range(5):
+        for j in range(7):
+            scalar = js_divergence_masses(p[i], q[j])
+            assert isinstance(scalar, float)
+            assert surface[i, j] == scalar

@@ -23,8 +23,11 @@ from factorspec import (
     residual_covariance,
     sweep,
 )
-from factorspec.estimator import _residual_eigenvalues, shared_bin_edges
-from factorspec.errors import IndexMismatch, InvalidFactorCount
+from factorspec import estimator
+from factorspec.divergence import js_divergence_masses
+from factorspec.empirical_spectrum import density_from_eigenvalues
+from factorspec.estimator import _level_masses, _residual_eigenvalues, shared_bin_edges
+from factorspec.errors import IndexMismatch, InvalidFactorCount, SupportNotCovered
 
 CACHE = ModelDensityCache()  # shared across tests; model densities are immutable
 
@@ -63,11 +66,14 @@ def test_fast_eigenvalue_path_matches_explicit_decomposition():
     explicit decompose -> residual_covariance -> eigvalsh route."""
     rng = np.random.default_rng(21)
     w = standardized(rng.normal(size=(30, 60)))
-    by_p = _residual_eigenvalues(w, (0, 1, 4))
+    eigs = _residual_eigenvalues(w, (0, 1, 4))
+    assert np.all(np.diff(eigs) <= 0)
     for p in (0, 1, 4):
+        zeroed = eigs.copy()
+        zeroed[:p] = 0.0
         cov = residual_covariance(decompose(w, p), T=60)
         explicit = np.linalg.eigvalsh(cov.matrix)
-        assert np.allclose(np.sort(by_p[p]), np.sort(explicit), atol=1e-9)
+        assert np.allclose(np.sort(zeroed), np.sort(explicit), atol=1e-9)
 
 
 def test_residual_eigenvalues_rejects_oversized_p():
@@ -114,6 +120,89 @@ def test_estimate_window_deterministic_and_surface_complete():
         (p, bb) for p in grid.p_values for bb in grid.b_values
     }
     assert a.divergence == min(a.divergence_surface.values())
+
+
+def zeroed(eigs, p):
+    vals = eigs.copy()
+    vals[:p] = 0.0
+    return vals
+
+
+@pytest.mark.parametrize("p_values", [[0, 1, 2, 3, 4, 5], [2, 3, 5]])
+def test_level_masses_match_histograms_of_zeroed_spectra(p_values):
+    """Derived p-level masses equal a fresh histogram of the zeroed spectrum
+    bit for bit, including eigenvalues exactly on interior and end edges and
+    a stray below the range."""
+    edges = np.linspace(0.0, 5.0, 21)  # width 0.25, every edge exact
+    rng = np.random.default_rng(40)
+    eigs = np.sort(
+        np.concatenate([[5.0, 4.0, 2.5, 2.5, 0.25], rng.uniform(0.0, 2.0, 30), [-1e-13]])
+    )[::-1]
+    base = density_from_eigenvalues(zeroed(eigs, p_values[0]), edges).masses
+    derived = _level_masses(eigs, p_values, base, edges)
+    assert derived.shape == (len(p_values), 20)
+    for row, p in zip(derived, p_values):
+        assert np.array_equal(row, density_from_eigenvalues(zeroed(eigs, p), edges).masses)
+
+
+def test_surface_equals_per_pair_scalar_loop():
+    x = planted_factor_matrix(
+        PlantedFactorSpec(k=1, strength=6.0, seed=41), Ar1Spec(b=0.3), N=60, T=120
+    )
+    w = standardized(x)
+    grid = small_grid()
+    result = estimate_window(w, grid, cache=CACHE, keep_surface=True)
+    eigs = _residual_eigenvalues(w, grid.p_values)
+    edges = shared_bin_edges(float(eigs.max()), 0.5, grid.bins)
+    for b in grid.b_values:
+        model = CACHE.masses(b, 0.5, grid.epsilon, edges)
+        for p in grid.p_values:
+            emp = density_from_eigenvalues(zeroed(eigs, p), edges).masses
+            assert result.divergence_surface[(p, b)] == js_divergence_masses(emp, model)
+
+
+class UniformCache:
+    """Stub cache: the same masses for every b, so every b ties; `fail`
+    lists b values whose lookup raises."""
+
+    def __init__(self, fail=()):
+        self.fail = fail
+
+    def masses(self, b, c, epsilon, bin_edges):
+        if b in self.fail:
+            raise SupportNotCovered(f"stub failure at b={b}")
+        return np.full(len(bin_edges) - 1, 1.0 / (len(bin_edges) - 1))
+
+
+def test_tie_rule_picks_smallest_b_among_identical_models():
+    w = standardized(generate_ar1(Ar1Spec(b=0.3, seed=42), N=40, T=100))
+    grid = small_grid()
+    result = estimate_window(w, grid, cache=UniformCache(), keep_surface=True)
+    surface = result.divergence_surface
+    best = min(surface.values())
+    tied = sorted(pair for pair, d in surface.items() if d <= best + 1e-15)
+    # every b ties, and on this window p = 0 and p = 1 differ by 3e-17
+    assert {p for p, _ in tied} == {0, 1}
+    assert len(tied) == 2 * len(grid.b_values)
+    assert (result.p_hat, result.b_hat) == tied[0] == (0, 0.0)
+    skipped = estimate_window(w, grid, cache=UniformCache(fail=(0.0,)), keep_surface=True)
+    assert skipped.b_hat == 0.2
+    assert {b for _, b in skipped.divergence_surface} == {0.2, 0.4, 0.6}
+
+
+def test_tie_rule_picks_smallest_p_then_smallest_b(monkeypatch):
+    """Pairs within 1e-15 of the minimum tie; the smallest p wins, then the
+    smallest b, wherever the exact minimum sits."""
+    surface = np.full((4, 4), 0.5)
+    surface[3, 0] = 0.1  # exact minimum, largest p
+    surface[1, 3] = 0.1 + 5e-16  # tie, smaller p
+    surface[1, 2] = 0.1 + 8e-16  # tie, same p, smaller b
+    surface[0, 1] = 0.1 + 1e-14  # not a tie
+    monkeypatch.setattr(estimator, "js_divergence_masses", lambda p, q, policy: surface)
+    w = standardized(generate_ar1(Ar1Spec(b=0.3, seed=43), N=40, T=100))
+    result = estimate_window(w, small_grid(), cache=UniformCache())
+    assert (result.p_hat, result.b_hat) == (1, 0.4)
+    assert result.divergence == surface[1, 2]
 
 
 def test_sweep_covers_expected_end_indices():
