@@ -137,12 +137,22 @@ def _dump_surfaces(path: Path, timeline: Timeline) -> None:
     _atomic_write(path, write)
 
 
-def _dump_model_densities(out: Path, grid: SearchGrid, config: RunConfig) -> None:
-    """One (lambda, rho) curve per b value; window-independent."""
-    source = _source_for_run(config, config.seed)
-    c = source.n / config.window_length
+def _write_curve(path: Path, grid: np.ndarray, rho: np.ndarray) -> None:
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(["lambda", "rho"])
+        for lam, r in zip(grid, rho):
+            writer.writerow([lam, r])
+
+    _atomic_write(path, write)
+
+
+def _dump_model_densities(
+    out: Path, grid: SearchGrid, c: float, cache: ModelDensityCache
+) -> None:
+    """One (lambda, rho) curve per b value, the ones the run's estimates used."""
     for b in grid.b_values:
-        run_spectrum(b, c, str(out / f"model_density_b{b:.2f}.csv"), grid.epsilon)
+        _write_curve(out / f"model_density_b{b:.2f}.csv", *cache.curve(b, c, grid.epsilon))
 
 
 def _source_for_run(config: RunConfig, seed: int) -> RawDataSource:
@@ -165,28 +175,29 @@ def run_detect(config: RunConfig) -> dict:
     cache = ModelDensityCache()
     seeds = [config.seed + k for k in range(config.runs)]
 
-    def one_run(seed: int) -> Timeline:
+    def one_run(seed: int) -> tuple[Timeline, int]:
         source = _source_for_run(config, seed)
         wspec = WindowSpec(N=source.n, T=config.window_length, stride=config.stride)
         tl = sweep(source, wspec, grid, cache=cache, keep_surface=config.dump_surface)
         if config.dump_eigenvalues:
             _dump_eigenvalues(out / f"eigenvalues_seed{seed}.csv", source, wspec)
-        return tl
+        return tl, source.n
 
     started = time.perf_counter()
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            timelines = list(pool.map(one_run, seeds))
+            runs = list(pool.map(one_run, seeds))
     else:
-        timelines = [one_run(s) for s in seeds]
+        runs = [one_run(s) for s in seeds]
     elapsed = time.perf_counter() - started
+    timelines = [tl for tl, _ in runs]
 
     for k, tl in enumerate(timelines):
         _write_timeline_csv(out / f"timeline_run{k:03d}.csv", tl)
         if config.dump_surface:
             _dump_surfaces(out / f"surface_run{k:03d}.csv", tl)
     if config.dump_densities:
-        _dump_model_densities(out, grid, config)
+        _dump_model_densities(out, grid, runs[0][1] / config.window_length, cache)
     avg = average_runs(timelines)
     annotations = detect_changes(avg, threshold=config.threshold, hold=config.hold)
 
@@ -229,15 +240,7 @@ def run_spectrum(b: float, c: float, output: str, epsilon: float = 1e-3, points:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     grid = default_lambda_grid(params, epsilon, n_points=points)
-    rho = model_density_curve(params, grid, epsilon)
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "rho"])
-        for lam, r in zip(grid, rho):
-            writer.writerow([lam, r])
-
-    _atomic_write(Path(output), write)
+    _write_curve(Path(output), grid, model_density_curve(params, grid, epsilon))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import csv
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +132,36 @@ def standardize(
 
 
 def load_csv(path, skip_header: bool = False, sample_period: float = 1.0) -> RawDataSource:
-    """Read a source matrix from CSV: one row per channel, one column per sample."""
+    """Read a source matrix from CSV: one row per channel, one column per sample.
+
+    `np.loadtxt` parses a clean file; any file it rejects, warns about, or
+    reads as empty or non-finite goes through the cell-by-cell parser,
+    which locates the offending cell in its CsvParseError."""
+    values = _loadtxt(path, skip_header)
+    if values is None:
+        values = _parse_cells(path, skip_header)
+    return RawDataSource(values=values, sample_period=sample_period)
+
+
+_LOADTXT_LOCK = threading.Lock()  # keeps concurrent catch_warnings blocks nested
+
+
+def _loadtxt(path, skip_header: bool) -> np.ndarray | None:
+    """The fast parse, or None when the cell-by-cell parser must decide."""
+    with _LOADTXT_LOCK, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            values = np.loadtxt(
+                path, delimiter=",", ndmin=2, comments=None, skiprows=int(skip_header)
+            )
+        except ValueError:  # a bad cell, a ragged row, undecodable bytes
+            return None
+    if caught or values.size == 0 or not np.all(np.isfinite(values)):
+        return None
+    return values
+
+
+def _parse_cells(path, skip_header: bool) -> np.ndarray:
     rows: list[list[float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -153,4 +184,4 @@ def load_csv(path, skip_header: bool = False, sample_period: float = 1.0) -> Raw
             rows.append(parsed)
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise CsvParseError(row=0, col=0, message="ragged CSV: rows have differing lengths")
-    return RawDataSource(values=np.asarray(rows, dtype=float), sample_period=sample_period)
+    return np.asarray(rows, dtype=float)

@@ -77,16 +77,34 @@ class RunAverage:
 
 
 class ModelDensityCache:
-    """Binned model densities keyed by (b, c, epsilon, bins, edge span).
+    """Model density curves keyed by (b, c, epsilon), binned per edge set.
 
-    The model density is window-independent, so reusing it across windows
-    and runs is the dominant cost saving of the sweep. Thread-safe;
-    computation is idempotent so racing threads at worst duplicate work.
+    The curve depends only on (b, c, epsilon), so each is built once on its
+    support grid (`default_lambda_grid`) and kept. Binned masses are
+    memoized per (b, c, epsilon, bins, edge span); edges past the support
+    get no mass, and mass past the last edge folds into the last bin.
+    A curve that fails to build is not cached. Thread-safe; computation is
+    idempotent so racing threads at worst duplicate work.
     """
 
     def __init__(self):
         self._store: dict[tuple, np.ndarray] = {}
+        self._curves: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._lock = threading.Lock()
+
+    def curve(self, b: float, c: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda grid, density) of the model at (b, c, epsilon)."""
+        key = (round(b, 10), round(c, 12), epsilon)
+        with self._lock:
+            hit = self._curves.get(key)
+        if hit is not None:
+            return hit
+        params = NoiseModelParams(b=b, c=c)
+        grid = default_lambda_grid(params, epsilon)
+        curve = (grid, model_density_curve(params, grid, epsilon))
+        with self._lock:
+            self._curves[key] = curve
+        return curve
 
     def masses(
         self, b: float, c: float, epsilon: float, bin_edges: np.ndarray
@@ -96,12 +114,7 @@ class ModelDensityCache:
             hit = self._store.get(key)
         if hit is not None:
             return hit
-        params = NoiseModelParams(b=b, c=c)
-        grid = default_lambda_grid(params, epsilon)
-        if grid[-1] < bin_edges[-1]:
-            grid = np.linspace(0.0, float(bin_edges[-1]), len(grid))
-        rho = model_density_curve(params, grid, epsilon)
-        masses = bin_curve(grid, rho, bin_edges)
+        masses = bin_curve(*self.curve(b, c, epsilon), bin_edges)
         masses = np.clip(masses, 0.0, None)
         masses = masses / masses.sum()
         with self._lock:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from factorspec import Ar1Spec, SearchGrid, generate_ar1
+from factorspec import cli
 from factorspec.cli import EXIT_CONFIG, EXIT_OK, RunConfig, main
 
 DETECT_FLAGS = [
@@ -73,6 +74,27 @@ def test_detect_dump_surface(small_csv, tmp_path):
         rows = list(csv.DictReader(fh))
     # 4 windows x 3 p values x 3 b values
     assert len(rows) == 36
+
+
+def test_dump_densities_reads_the_input_once(small_csv, tmp_path, monkeypatch):
+    loads = []
+    real = cli.load_csv
+
+    def counting(*args, **kwargs):
+        loads.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv", counting)
+    out = tmp_path / "out"
+    assert run_detect(small_csv, out, ["--dump-densities"]) == EXIT_OK
+    assert len(loads) == 1
+    names = sorted(p.name for p in out.glob("model_density_b*.csv"))
+    assert names == [f"model_density_b{b}.csv" for b in ("0.00", "0.45", "0.90")]
+    # the dumped curve is the one `spectrum` writes for the run's c = N / T
+    curve = tmp_path / "curve.csv"
+    args = ["spectrum", "--b", "0.45", "--c", repr(20 / 30), "--output", str(curve)]
+    assert main(args) == EXIT_OK
+    assert (out / "model_density_b0.45.csv").read_bytes() == curve.read_bytes()
 
 
 def test_default_grid_reaches_b_max():

@@ -10,6 +10,7 @@ from factorspec import (
     load_csv,
     standardize,
 )
+from factorspec import data_model
 from factorspec.errors import (
     CsvParseError,
     DegenerateRow,
@@ -143,3 +144,52 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
     path.write_text("1,2,3\n4,5\n6,7,8\n")
     with pytest.raises(CsvParseError):
         load_csv(path)
+
+
+def test_load_csv_fast_and_cell_paths_agree_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(12)
+    data = rng.normal(size=(7, 30)) * 10.0 ** np.arange(-3, 4)[:, None]
+    path = tmp_path / "data.csv"
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header="h1,h2", comments="")
+    fast = data_model._loadtxt(path, skip_header=True)
+    assert fast is not None and np.array_equal(fast, data)
+    assert np.array_equal(data_model._parse_cells(path, skip_header=True), data)
+    assert np.array_equal(load_csv(path, skip_header=True).values, data)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("1,2,3\n4,#5,6\n", (2, 2)),  # '#' is a cell, not a comment
+        ("1,nan\n3,4\n", (1, 2)),
+        ("1,2\n   \n3,4\n", (2, 1)),  # a whitespace-only line is a bad cell
+    ],
+)
+def test_load_csv_fallback_keeps_located_errors(tmp_path, text, where):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    assert data_model._loadtxt(path, skip_header=False) is None
+    with pytest.raises(CsvParseError) as fast:
+        load_csv(path)
+    with pytest.raises(CsvParseError) as cells:
+        data_model._parse_cells(path, skip_header=False)
+    assert (fast.value.row, fast.value.col) == where
+    assert (fast.value.row, fast.value.col, str(fast.value)) == (
+        cells.value.row, cells.value.col, str(cells.value)
+    )
+
+
+def test_load_csv_skips_blank_lines_on_both_paths(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("1,2\n\n3,4\n\n")
+    assert np.array_equal(data_model._loadtxt(path, skip_header=False), [[1, 2], [3, 4]])
+    assert np.array_equal(data_model._parse_cells(path, skip_header=False), [[1, 2], [3, 4]])
+
+
+def test_load_csv_empty_file_falls_back_without_warning(tmp_path, recwarn):
+    path = tmp_path / "data.csv"
+    path.write_text("\n")
+    assert data_model._loadtxt(path, skip_header=False) is None
+    with pytest.raises(DimensionMismatch):
+        load_csv(path)
+    assert not recwarn.list

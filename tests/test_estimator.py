@@ -295,3 +295,59 @@ def test_cache_reuse_returns_identical_masses():
     second = cache.masses(0.3, 0.472, 1e-3, edges)
     assert second is first
     assert first.sum() == pytest.approx(1.0)
+
+
+def test_cache_builds_one_curve_per_b_across_edge_spans(monkeypatch):
+    built = []
+    real = estimator.model_density_curve
+
+    def counting(params, grid, epsilon):
+        built.append(params.b)
+        return real(params, grid, epsilon)
+
+    monkeypatch.setattr(estimator, "model_density_curve", counting)
+    grid = small_grid(b_values=(0.0, 0.4))
+    cache = ModelDensityCache()
+    quiet = generate_ar1(Ar1Spec(b=0.3, seed=34), N=40, T=200)
+    spiked = planted_factor_matrix(
+        PlantedFactorSpec(k=1, strength=30.0, seed=34), Ar1Spec(b=0.3), N=40, T=200
+    )
+    spans = set()
+    for x in (quiet, spiked, quiet):
+        window = standardized(x)
+        eigs = _residual_eigenvalues(window, grid.p_values)
+        spans.add(shared_bin_edges(float(eigs.max()), 40 / 200, grid.bins)[-1])
+        estimate_window(window, grid, cache=cache)
+    assert len(spans) == 2
+    assert sorted(built) == [0.0, 0.4]
+
+
+def _curve_and_params(b=0.3, c=0.472, epsilon=1e-3):
+    params = estimator.NoiseModelParams(b=b, c=c)
+    grid = estimator.default_lambda_grid(params, epsilon)
+    return params, grid, estimator.model_density_curve(params, grid, epsilon)
+
+
+def test_cache_masses_inside_support_equal_direct_binning():
+    params, grid, rho = _curve_and_params()
+    edges = np.linspace(0.0, 0.6 * grid[-1], 41)
+    expected = np.clip(estimator.bin_curve(grid, rho, edges), 0.0, None)
+    expected = expected / expected.sum()
+    got = ModelDensityCache().masses(params.b, params.c, 1e-3, edges)
+    assert np.array_equal(got, expected)
+
+
+def test_cache_masses_beyond_support_do_not_depend_on_span():
+    _, grid, _ = _curve_and_params()
+    cache = ModelDensityCache()
+    narrow = np.linspace(0.0, 2.0 * grid[-1], 41)
+    wide = np.linspace(0.0, 4.0 * grid[-1], 41)
+    m_narrow = cache.masses(0.3, 0.472, 1e-3, narrow)
+    m_wide = cache.masses(0.3, 0.472, 1e-3, wide)
+    assert m_narrow.sum() == pytest.approx(1.0, abs=1e-12)
+    assert m_wide.sum() == pytest.approx(1.0, abs=1e-12)
+    # every other narrow edge is a wide edge: 2k * (2u / 40) == k * (4u / 40)
+    assert np.array_equal(narrow[::2], wide[:21])
+    cdf_narrow = np.concatenate([[0.0], np.cumsum(m_narrow)])[::2]
+    cdf_wide = np.concatenate([[0.0], np.cumsum(m_wide)])[:21]
+    assert np.max(np.abs(cdf_narrow - cdf_wide)) <= 1e-12
