@@ -59,7 +59,6 @@ from .model_spectrum import (
     model_density_curve,
     select_physical_root,
     solve_moment_polynomial,
-    upper_support_edge,
 )
 
 __all__ = [
@@ -107,5 +106,4 @@ __all__ = [
     "standardize",
     "sweep",
     "synthesize_case",
-    "upper_support_edge",
 ]

@@ -27,6 +27,7 @@ from .estimator import (
     sweep,
 )
 from .model_spectrum import (
+    DEFAULT_B_MAX,
     NoiseModelParams,
     default_lambda_grid,
     model_density_curve,
@@ -53,7 +54,6 @@ class RunConfig:
     workers: int = 1
     output_dir: str = "out"
     skip_header: bool = False
-    event_mode: str = "factor"  # "factor" or "channel"
     noise_b: float = 0.5
     threshold: float = 0.5
     hold: int = 3
@@ -68,20 +68,18 @@ class RunConfig:
             raise ConfigError(f"input file not found: {self.input_path}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.input_path is not None and self.runs > 1:
+            raise ConfigError("--runs > 1 needs --case: a CSV holds one realization")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.event_mode not in ("factor", "channel"):
-            raise ConfigError("event-mode must be 'factor' or 'channel'")
 
     def grid(self) -> SearchGrid:
-        steps = int(round(0.95 / self.b_step)) + 1
+        steps = int(round(DEFAULT_B_MAX / self.b_step)) + 1
         # compare the rounded value: 19 * 0.05 exceeds 0.95 in floating point
-        b_values = tuple(
-            b for b in (round(i * self.b_step, 10) for i in range(steps)) if b <= 0.95
-        )
+        b_values = (round(i * self.b_step, 10) for i in range(steps))
         return SearchGrid(
             p_values=tuple(range(self.p_max + 1)),
-            b_values=b_values,
+            b_values=tuple(b for b in b_values if b <= DEFAULT_B_MAX),
             epsilon=self.epsilon,
             bins=self.bins,
         )
@@ -159,9 +157,7 @@ def _source_for_run(config: RunConfig, seed: int) -> RawDataSource:
     if config.input_path is not None:
         return load_csv(config.input_path, skip_header=config.skip_header)
     schedule, t = case_schedule(config.case)
-    mixing = None
-    if config.event_mode == "factor":
-        mixing = PlantedFactorSpec(k=max(1, len(schedule.events)), strength=5.0)
+    mixing = PlantedFactorSpec(k=max(1, len(schedule.events)), strength=5.0)
     return synthesize_case(
         schedule, Ar1Spec(b=config.noise_b, seed=seed), mixing, N=118, t=t
     )
@@ -264,7 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     det.add_argument("--seed", type=int, default=0)
     det.add_argument("--workers", type=int, default=1)
     det.add_argument("--output-dir", default="out")
-    det.add_argument("--event-mode", choices=["factor", "channel"], default="factor")
     det.add_argument("--noise-b", type=float, default=0.5)
     det.add_argument("--threshold", type=float, default=0.5)
     det.add_argument("--hold", type=int, default=3)
@@ -303,7 +298,6 @@ def main(argv=None) -> int:
                 workers=args.workers,
                 output_dir=args.output_dir,
                 skip_header=args.skip_header,
-                event_mode=args.event_mode,
                 noise_b=args.noise_b,
                 threshold=args.threshold,
                 hold=args.hold,

@@ -27,7 +27,6 @@ class RawDataSource:
     """Full n x t measurement record; columns are consecutive samples."""
 
     values: np.ndarray
-    sample_period: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_array(self.values))
@@ -104,34 +103,22 @@ def cut_window(source: RawDataSource, spec: WindowSpec, end_index: int) -> RawWi
     return RawWindow(values=block, end_index=end_index)
 
 
-def standardize(
-    window: RawWindow,
-    sigma_floor: float = 1e-12,
-    jitter: bool = False,
-    jitter_magnitude: float = 1e-9,
-    rng: np.random.Generator | None = None,
-) -> StandardizedWindow:
-    """Z-score each row to mean 0, population variance 1.
+SIGMA_FLOOR = 1e-12  # a row whose standard deviation is at most this is constant
 
-    Constant rows raise DegenerateRow unless `jitter` is enabled, in which
-    case uniform noise of the configured magnitude is added first.
-    """
-    x = np.array(window.values, dtype=float)
+
+def standardize(window: RawWindow) -> StandardizedWindow:
+    """Z-score each row to mean 0, population variance 1; a constant row
+    raises DegenerateRow."""
+    x = window.values
     std = x.std(axis=1)
-    low = np.nonzero(std <= sigma_floor)[0]
+    low = np.nonzero(std <= SIGMA_FLOOR)[0]
     if low.size:
-        if not jitter:
-            raise DegenerateRow(int(low[0]))
-        rng = rng if rng is not None else np.random.default_rng()
-        x[low] += rng.uniform(-jitter_magnitude, jitter_magnitude, (low.size, x.shape[1]))
-        std = x.std(axis=1)
-        if np.any(std <= 0.0):
-            raise DegenerateRow(int(np.argmin(std)))
+        raise DegenerateRow(int(low[0]))
     out = (x - x.mean(axis=1, keepdims=True)) / std[:, None]
     return StandardizedWindow(values=out, end_index=window.end_index)
 
 
-def load_csv(path, skip_header: bool = False, sample_period: float = 1.0) -> RawDataSource:
+def load_csv(path, skip_header: bool = False) -> RawDataSource:
     """Read a source matrix from CSV: one row per channel, one column per sample.
 
     `np.loadtxt` parses a clean file; any file it rejects, warns about, or
@@ -140,7 +127,7 @@ def load_csv(path, skip_header: bool = False, sample_period: float = 1.0) -> Raw
     values = _loadtxt(path, skip_header)
     if values is None:
         values = _parse_cells(path, skip_header)
-    return RawDataSource(values=values, sample_period=sample_period)
+    return RawDataSource(values=values)
 
 
 _LOADTXT_LOCK = threading.Lock()  # keeps concurrent catch_warnings blocks nested

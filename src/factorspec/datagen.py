@@ -2,7 +2,6 @@
 schedules, plus a Monte-Carlo oracle for the model spectrum."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +33,11 @@ class Ar1Spec:
 
 @dataclass(frozen=True)
 class Event:
-    """One step event: `amplitude` added to a channel (or factor) between
-    1-based samples onset..offset inclusive; offset None runs to the end."""
+    """One step event, active over 1-based samples onset..offset inclusive;
+    offset None runs to the end."""
 
-    channel: int
     onset: int
     offset: int | None
-    amplitude: float
 
 
 @dataclass(frozen=True)
@@ -54,50 +51,20 @@ class EventSchedule:
             if e.onset < 1:
                 raise ScheduleOutOfRange(f"event onset {e.onset} < 1")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "channel": e.channel,
-                    "onset": e.onset,
-                    "offset": e.offset,
-                    "amplitude": e.amplitude,
-                }
-                for e in self.events
-            ]
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EventSchedule":
-        return cls(
-            tuple(
-                Event(
-                    channel=int(d["channel"]),
-                    onset=int(d["onset"]),
-                    offset=None if d.get("offset") is None else int(d["offset"]),
-                    amplitude=float(d["amplitude"]),
-                )
-                for d in json.loads(text)
-            )
-        )
-
 
 @dataclass(frozen=True)
 class PlantedFactorSpec:
-    """Signals entering through k unit-norm loading vectors instead of
-    hitting single channels; `strength` scales spike size relative to the
-    noise bulk edge (1 + sqrt(c))^2."""
+    """Signals entering through k unit-norm loading vectors spread across
+    channels; `strength` scales spike size relative to the noise bulk edge
+    (1 + sqrt(c))^2."""
 
     k: int
     strength: float = 5.0
-    factor_kind: str = "smooth"  # "smooth" (iid normal) or "step"
     seed: int | None = None
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.factor_kind not in ("smooth", "step"):
-            raise ValueError("factor_kind must be 'smooth' or 'step'")
 
 
 def _innovations(spec: Ar1Spec, rng: np.random.Generator, shape) -> np.ndarray:
@@ -143,8 +110,8 @@ def planted_factor_matrix(
     T: int,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """AR(1) noise plus k planted rank-one signals with spikes at roughly
-    strength x the Marchenko-Pastur bulk edge."""
+    """AR(1) noise plus k planted rank-one signals (iid normal factors) with
+    spikes at roughly strength x the Marchenko-Pastur bulk edge."""
     if planted.k > N:
         raise ValueError("cannot plant more factors than channels")
     rng = rng if rng is not None else np.random.default_rng(planted.seed)
@@ -153,54 +120,40 @@ def planted_factor_matrix(
     bulk_edge = (1.0 + np.sqrt(N / T)) ** 2
     sd = np.sqrt(planted.strength * bulk_edge)
     for j in range(planted.k):
-        if planted.factor_kind == "smooth":
-            f = rng.standard_normal(T)
-        else:
-            f = np.zeros(T)
-            f[T // 2 :] = 1.0
-        x += sd * np.outer(loadings[j], f)
+        x += sd * np.outer(loadings[j], rng.standard_normal(T))
     return x
 
 
 def synthesize_case(
     schedule: EventSchedule,
     base: Ar1Spec,
-    mixing: PlantedFactorSpec | None,
+    mixing: PlantedFactorSpec,
     N: int,
     t: int,
     baseline_range: tuple[float, float] = (20.0, 200.0),
 ) -> RawDataSource:
     """Baseline constants + AR(1) noise + step events.
 
-    With `mixing` None, event amplitudes add directly onto the scheduled
-    channel. With a PlantedFactorSpec, event i enters through the i-th
-    random unit-norm loading vector, spreading across channels; the step
-    height is sized from `mixing.strength` so the resulting covariance
-    spike clears the noise bulk."""
+    Event i enters through the i-th random unit-norm loading vector,
+    spreading across channels; the step height is sized from
+    `mixing.strength` so the resulting covariance spike clears the noise
+    bulk."""
     for e in schedule.events:
         if e.onset > t or (e.offset is not None and e.offset > t):
             raise ScheduleOutOfRange(f"event {e} outside [1, {t}]")
-        if mixing is None and not (1 <= e.channel <= N):
-            raise ScheduleOutOfRange(f"event channel {e.channel} outside [1, {N}]")
 
     rng = np.random.default_rng(base.seed)
     baselines = rng.uniform(*baseline_range, N)
     values = baselines[:, None] + generate_ar1(base, N, t, rng=rng)
-
-    if mixing is not None:
-        loadings = unit_loadings(max(mixing.k, len(schedule.events) or 1), N, rng)
-        bulk_edge = (1.0 + np.sqrt(N / min(t, 4 * N))) ** 2
-        step_height = np.sqrt(mixing.strength * bulk_edge) * 2.0
+    loadings = unit_loadings(max(mixing.k, len(schedule.events) or 1), N, rng)
+    bulk_edge = (1.0 + np.sqrt(N / min(t, 4 * N))) ** 2
+    step_height = np.sqrt(mixing.strength * bulk_edge) * 2.0
 
     for i, e in enumerate(schedule.events):
         off = t if e.offset is None else e.offset
-        active = slice(e.onset - 1, off)
-        if mixing is None:
-            values[e.channel - 1, active] += e.amplitude
-        else:
-            signal = np.zeros(t)
-            signal[active] = step_height
-            values += np.outer(loadings[i], signal)
+        signal = np.zeros(t)
+        signal[e.onset - 1 : off] = step_height
+        values += np.outer(loadings[i], signal)
     return RawDataSource(values=values)
 
 
@@ -229,33 +182,16 @@ def brute_force_spectrum(
 
 
 def case_schedule(name: str) -> tuple[EventSchedule, int]:
-    """Built-in step-event schedules (channel, onset, offset, amplitude)
-    with their record lengths, patterned on 118-channel case studies."""
+    """Built-in step-event schedules (onset, offset) with their record
+    lengths, patterned on 118-channel case studies."""
     cases = {
-        # single event: channel 52 steps 0 -> 100 at sample 500, record 899
-        "case1": (
-            EventSchedule((Event(52, 500, None, 100.0),)),
-            899,
-        ),
+        # single event stepping up at sample 500, record 899
+        "case1": (EventSchedule((Event(500, None),)), 899),
         # two staggered events over a 1000-sample record
-        "case2": (
-            EventSchedule(
-                (
-                    Event(52, 401, None, 100.0),
-                    Event(117, 501, 900, 150.0),
-                )
-            ),
-            1000,
-        ),
+        "case2": (EventSchedule((Event(401, None), Event(501, 900))), 1000),
         # three staggered events over a 601-sample record
         "case3": (
-            EventSchedule(
-                (
-                    Event(52, 351, None, 100.0),
-                    Event(117, 401, None, 150.0),
-                    Event(75, 501, None, 400.0),
-                )
-            ),
+            EventSchedule((Event(351, None), Event(401, None), Event(501, None))),
             601,
         ),
     }

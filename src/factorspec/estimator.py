@@ -13,6 +13,7 @@ from .divergence import ZeroHandlingPolicy, js_divergence_masses
 from .empirical_spectrum import density_from_eigenvalues
 from .errors import FactorSpecError, GridExhausted, IndexMismatch, InvalidFactorCount
 from .model_spectrum import (
+    DEFAULT_B_MAX,
     DEFAULT_EPSILON,
     NoiseModelParams,
     bin_curve,
@@ -29,13 +30,12 @@ class SearchGrid:
     b_values: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(20))
     epsilon: float = DEFAULT_EPSILON
     bins: int = 100
-    b_max: float = 0.95
 
     def __post_init__(self):
         if not self.p_values or any(p < 0 for p in self.p_values):
             raise ValueError("p_values must be nonempty and nonnegative")
-        if not self.b_values or any(not 0 <= b <= self.b_max for b in self.b_values):
-            raise ValueError(f"b_values must lie within [0, {self.b_max}]")
+        if not self.b_values or any(not 0 <= b <= DEFAULT_B_MAX for b in self.b_values):
+            raise ValueError(f"b_values must lie within [0, {DEFAULT_B_MAX}]")
         if self.bins < 2:
             raise ValueError("need at least 2 bins")
         if not self.epsilon > 0:
@@ -235,7 +235,6 @@ def sweep(
     spec: WindowSpec,
     grid: SearchGrid,
     cache: ModelDensityCache | None = None,
-    jitter: bool = False,
     keep_surface: bool = False,
 ) -> Timeline:
     """One EstimationResult per end_index from T to t by stride; failed
@@ -245,7 +244,7 @@ def sweep(
     failures = []
     for end_index in range(spec.T, source.t + 1, spec.stride):
         try:
-            window = standardize(cut_window(source, spec, end_index), jitter=jitter)
+            window = standardize(cut_window(source, spec, end_index))
             results.append(
                 estimate_window(window, grid, cache=cache, keep_surface=keep_surface)
             )

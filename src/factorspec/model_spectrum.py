@@ -26,11 +26,10 @@ class NoiseModelParams:
 
     b: float
     c: float
-    b_max: float = DEFAULT_B_MAX
 
     def __post_init__(self):
-        if not (0.0 <= self.b <= self.b_max):
-            raise ValueError(f"b={self.b} outside [0, {self.b_max}]")
+        if not (0.0 <= self.b <= DEFAULT_B_MAX):
+            raise ValueError(f"b={self.b} outside [0, {DEFAULT_B_MAX}]")
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ValueError(f"aspect ratio c={self.c} must be finite and positive")
 
@@ -124,7 +123,6 @@ def green_function(M: complex, z) -> complex:
 def select_physical_root(
     roots,
     z,
-    params: NoiseModelParams | None = None,
     previous_root: complex | None = None,
     density_tol: float = 1e-8,
 ) -> complex:
@@ -227,7 +225,7 @@ def _sweep_curve(
     roots, _ = _solve_many(zs, params.b, params.c)
 
     picked = np.empty(zs.size, dtype=complex)
-    prev = select_physical_root(roots[0], zs[0], params, density_tol=clip_tol)
+    prev = select_physical_root(roots[0], zs[0], density_tol=clip_tol)
     picked[0] = prev
     for i in range(1, zs.size):
         pick, ambiguous = _pick_by_continuity(roots[i], zs[i], prev, clip_tol)
@@ -260,22 +258,6 @@ def support_cap(params: NoiseModelParams) -> float:
     """Hard cap on the support scan: widened MP edge times a safety factor."""
     mp_edge = (1.0 + math.sqrt(params.c)) ** 2
     return mp_edge * (1.0 + params.b) / (1.0 - params.b) * 1.5
-
-
-def upper_support_edge(
-    params: NoiseModelParams,
-    epsilon: float = DEFAULT_EPSILON,
-    threshold: float = 1e-3,
-    scan_points: int = 512,
-) -> float:
-    """Largest lambda at which the model density exceeds `threshold`."""
-    cap = support_cap(params)
-    grid = np.linspace(0.0, cap, scan_points)
-    rho = _sweep_curve(grid, params, epsilon)
-    above = np.nonzero(rho > threshold)[0]
-    if above.size == 0:
-        raise SupportNotCovered("density below threshold everywhere on the scan grid")
-    return float(grid[above[-1]])
 
 
 def default_lambda_grid(

@@ -16,6 +16,13 @@ DETECT_FLAGS = [
     "--b-step", "0.45",
     "--bins", "20",
 ]
+CASE_FLAGS = [
+    "--window-length", "250",
+    "--stride", "50",
+    "--p-max", "2",
+    "--b-step", "0.45",
+    "--bins", "20",
+]
 
 
 @pytest.fixture
@@ -30,6 +37,14 @@ def run_detect(small_csv, out_dir, extra=()):
     return main(
         ["detect", "--input", str(small_csv), "--output-dir", str(out_dir)]
         + DETECT_FLAGS
+        + list(extra)
+    )
+
+
+def run_case(out_dir, extra=()):
+    return main(
+        ["detect", "--case", "case1", "--output-dir", str(out_dir)]
+        + CASE_FLAGS
         + list(extra)
     )
 
@@ -53,18 +68,26 @@ def test_detect_writes_artifacts(small_csv, tmp_path):
         assert 0.0 <= float(r["b_hat"]) <= 0.95
 
 
-def test_detect_seed_reproducibility(small_csv, tmp_path):
+def test_detect_seed_reproducibility(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run_detect(small_csv, a, ["--runs", "2", "--seed", "5"]) == EXIT_OK
-    assert run_detect(small_csv, b, ["--runs", "2", "--seed", "5"]) == EXIT_OK
+    assert run_case(a, ["--runs", "2", "--seed", "5"]) == EXIT_OK
+    assert run_case(b, ["--runs", "2", "--seed", "5"]) == EXIT_OK
     assert (a / "run_average.csv").read_bytes() == (b / "run_average.csv").read_bytes()
 
 
-def test_detect_workers_match_serial(small_csv, tmp_path):
+def test_detect_workers_match_serial(tmp_path):
     ser, par = tmp_path / "ser", tmp_path / "par"
-    assert run_detect(small_csv, ser, ["--runs", "2"]) == EXIT_OK
-    assert run_detect(small_csv, par, ["--runs", "2", "--workers", "2"]) == EXIT_OK
+    assert run_case(ser, ["--runs", "2"]) == EXIT_OK
+    assert run_case(par, ["--runs", "2", "--workers", "2"]) == EXIT_OK
     assert (ser / "run_average.csv").read_bytes() == (par / "run_average.csv").read_bytes()
+
+
+def test_detect_rejects_runs_with_input(small_csv, tmp_path, capsys):
+    """A CSV holds one realization: extra runs would repeat its timeline
+    under seeds that change nothing."""
+    assert run_detect(small_csv, tmp_path / "o", ["--runs", "2"]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "o").exists()
 
 
 def test_detect_dump_surface(small_csv, tmp_path):

@@ -97,17 +97,6 @@ def test_standardize_constant_row_raises_with_row_index():
     assert err.value.row == 2
 
 
-def test_standardize_jitter_rescues_constant_row():
-    vals = np.random.default_rng(0).normal(size=(4, 20))
-    vals[2] = 7.5
-    s = standardize(
-        RawWindow(values=vals, end_index=20),
-        jitter=True,
-        rng=np.random.default_rng(1),
-    )
-    assert np.allclose(s.values.std(axis=1), 1.0, atol=1e-12)
-
-
 def test_load_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     data = rng.normal(size=(5, 12))

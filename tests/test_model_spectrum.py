@@ -13,7 +13,6 @@ from factorspec import (
     model_density_curve,
     select_physical_root,
     solve_moment_polynomial,
-    upper_support_edge,
 )
 from factorspec.model_spectrum import bin_curve, support_cap
 from factorspec.errors import BranchCut, NoPhysicalRoot
@@ -57,25 +56,21 @@ def test_physical_root_reduces_to_mp_green_at_b_zero():
     params = NoiseModelParams(b=0.0, c=C)
     for lam in (3.5, 6.0, 50.0):
         z = complex(lam, 1e-3)
-        m = select_physical_root(solve_moment_polynomial(z, params), z, params)
+        m = select_physical_root(solve_moment_polynomial(z, params), z)
         assert green_function(m, z) == pytest.approx(oracles.mp_green(z, C), abs=1e-6)
     for lam in (0.3, 1.0, 2.0):
         z = complex(lam, 1e-3)
         seed = z * oracles.mp_green(complex(lam + 0.01, 1e-3), C) - 1.0
-        m = select_physical_root(
-            solve_moment_polynomial(z, params), z, params, previous_root=seed
-        )
+        m = select_physical_root(solve_moment_polynomial(z, params), z, previous_root=seed)
         assert green_function(m, z) == pytest.approx(oracles.mp_green(z, C), abs=1e-4)
 
 
 def test_physical_root_continuity_tracking():
     params = NoiseModelParams(b=0.3, c=C)
     z1 = complex(1.0, 1e-3)
-    m1 = select_physical_root(solve_moment_polynomial(z1, params), z1, params)
+    m1 = select_physical_root(solve_moment_polynomial(z1, params), z1)
     z2 = complex(1.01, 1e-3)
-    m2 = select_physical_root(
-        solve_moment_polynomial(z2, params), z2, params, previous_root=m1
-    )
+    m2 = select_physical_root(solve_moment_polynomial(z2, params), z2, previous_root=m1)
     assert abs(m2 - m1) < 0.1
 
 
@@ -132,15 +127,9 @@ def test_model_density_curve_nonnegative():
     assert np.all(rho >= 0.0)
 
 
-def test_upper_support_edge_mp_case():
-    params = NoiseModelParams(b=0.0, c=C)
-    edge = upper_support_edge(params, epsilon=1e-4)
-    assert edge == pytest.approx(oracles.mp_support(C)[1], abs=0.1)
-
-
 def test_support_widens_with_b():
     edges = [
-        upper_support_edge(NoiseModelParams(b=b, c=C), epsilon=1e-4)
+        default_lambda_grid(NoiseModelParams(b=b, c=C), epsilon=1e-4)[-1]
         for b in (0.0, 0.3, 0.6)
     ]
     assert edges[0] < edges[1] < edges[2]
