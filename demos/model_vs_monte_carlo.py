@@ -12,7 +12,12 @@ Run from the repository root:
 """
 import numpy as np
 
-from factorspec import NoiseModelParams, brute_force_spectrum, js_divergence, model_density
+from factorspec import (
+    ModelDensityCache,
+    brute_force_spectrum,
+    density_from_eigenvalues,
+    js_divergence_masses,
+)
 from factorspec.estimator import shared_bin_edges
 
 N, T = 118, 250
@@ -30,17 +35,18 @@ def sketch(masses, height=8):
 
 
 def main():
+    cache = ModelDensityCache()
     for b in (0.0, 0.3, 0.6):
-        mc_probe = brute_force_spectrum(b=b, N=N, T=T, trials=50, seed=1, bins=60)
-        edges = shared_bin_edges(float(mc_probe.bin_edges[-1]), C, bins=60)
-        mc = brute_force_spectrum(b=b, N=N, T=T, trials=50, seed=1, bin_edges=edges)
-        model = model_density(NoiseModelParams(b=b, c=C), epsilon=1e-4, bin_edges=edges)
-        d = js_divergence(mc, model)
+        eigs = brute_force_spectrum(b=b, N=N, T=T, trials=50, seed=1)
+        edges = shared_bin_edges(float(eigs.max()) * 1.05, C, bins=60)
+        mc = density_from_eigenvalues(eigs, edges)
+        model = cache.masses(b, C, 1e-4, edges)
+        d = js_divergence_masses(mc, model)
         print(f"\nb = {b}: JS(model, monte-carlo) = {d:.5f}")
         print("monte-carlo eigenvalue histogram:")
-        print(sketch(mc.masses))
+        print(sketch(mc))
         print("model density, same bins:")
-        print(sketch(model.masses))
+        print(sketch(model))
         print(f"(bins span [0, {edges[-1]:.2f}]; support widens as b grows)")
 
 

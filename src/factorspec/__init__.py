@@ -28,15 +28,8 @@ from .datagen import (
     planted_factor_matrix,
     synthesize_case,
 )
-from .divergence import ZeroHandlingPolicy, js_divergence, kl_divergence
-from .empirical_spectrum import (
-    FactorDecomposition,
-    ResidualCovariance,
-    SpectralDensity,
-    decompose,
-    empirical_density,
-    residual_covariance,
-)
+from .divergence import ZeroHandlingPolicy, js_divergence_masses
+from .empirical_spectrum import density_from_eigenvalues
 from .estimator import (
     ChangePoint,
     EstimationResult,
@@ -50,59 +43,43 @@ from .estimator import (
     sweep,
 )
 from .model_spectrum import (
-    ComplexPoint,
     NoiseModelParams,
-    ar1_mgf,
     default_lambda_grid,
-    green_function,
-    model_density,
     model_density_curve,
     select_physical_root,
-    solve_moment_polynomial,
 )
 
 __all__ = [
     "Ar1Spec",
     "ChangePoint",
-    "ComplexPoint",
     "EstimationResult",
     "Event",
     "EventSchedule",
-    "FactorDecomposition",
     "ModelDensityCache",
     "NoiseModelParams",
     "PlantedFactorSpec",
     "RawDataSource",
     "RawWindow",
-    "ResidualCovariance",
     "RunAverage",
     "SearchGrid",
-    "SpectralDensity",
     "StandardizedWindow",
     "Timeline",
     "WindowSpec",
     "ZeroHandlingPolicy",
-    "ar1_mgf",
     "average_runs",
     "brute_force_spectrum",
     "case_schedule",
     "cut_window",
-    "decompose",
     "default_lambda_grid",
+    "density_from_eigenvalues",
     "detect_changes",
-    "empirical_density",
     "estimate_window",
     "generate_ar1",
-    "green_function",
-    "js_divergence",
-    "kl_divergence",
+    "js_divergence_masses",
     "load_csv",
-    "model_density",
     "model_density_curve",
     "planted_factor_matrix",
-    "residual_covariance",
     "select_physical_root",
-    "solve_moment_polynomial",
     "standardize",
     "sweep",
     "synthesize_case",

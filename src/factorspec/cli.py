@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data_model import RawDataSource, WindowSpec, load_csv
+from .data_model import RawDataSource, WindowSpec, cut_window, load_csv, standardize
 from .datagen import Ar1Spec, PlantedFactorSpec, case_schedule, synthesize_case
 from .errors import ConfigError, FactorSpecError
 from .estimator import (
@@ -99,50 +99,27 @@ def _atomic_write(path: Path, write_fn) -> None:
         raise
 
 
-def _write_timeline_csv(path: Path, timeline: Timeline) -> None:
+def _write_rows(path: Path, header: list[str] | None, rows) -> None:
+    """Write `rows` as CSV under an optional header row, atomically."""
+
     def write(fh):
         writer = csv.writer(fh)
-        writer.writerow(["end_index", "p_hat", "b_hat", "divergence"])
-        for r in timeline.results:
-            writer.writerow([r.end_index, r.p_hat, r.b_hat, r.divergence])
+        if header:
+            writer.writerow(header)
+        writer.writerows(rows)
 
     _atomic_write(path, write)
 
 
-def _dump_eigenvalues(path: Path, source: RawDataSource, wspec: WindowSpec) -> None:
-    """Sorted residual-covariance eigenvalues (p = 0) per window."""
-    from .data_model import cut_window, standardize
-
-    def write(fh):
-        writer = csv.writer(fh)
-        for end_index in range(wspec.T, source.t + 1, wspec.stride):
-            w = standardize(cut_window(source, wspec, end_index))
-            eigs = np.linalg.eigvalsh((w.values @ w.values.T) / wspec.T)
-            writer.writerow([end_index, *eigs])
-
-    _atomic_write(path, write)
-
-
-def _dump_surfaces(path: Path, timeline: Timeline) -> None:
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["end_index", "p", "b", "divergence"])
-        for r in timeline.results:
-            if r.divergence_surface:
-                for (p, b), d in sorted(r.divergence_surface.items()):
-                    writer.writerow([r.end_index, p, b, d])
-
-    _atomic_write(path, write)
+def _window_eigenvalues(source: RawDataSource, wspec: WindowSpec):
+    """(end_index, *ascending eigenvalues of (1/T) X X') per window, p = 0."""
+    for end_index in range(wspec.T, source.t + 1, wspec.stride):
+        w = standardize(cut_window(source, wspec, end_index))
+        yield (end_index, *np.linalg.eigvalsh((w.values @ w.values.T) / wspec.T))
 
 
 def _write_curve(path: Path, grid: np.ndarray, rho: np.ndarray) -> None:
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "rho"])
-        for lam, r in zip(grid, rho):
-            writer.writerow([lam, r])
-
-    _atomic_write(path, write)
+    _write_rows(path, ["lambda", "rho"], zip(grid, rho))
 
 
 def _dump_model_densities(
@@ -173,10 +150,18 @@ def run_detect(config: RunConfig) -> dict:
 
     def one_run(seed: int) -> tuple[Timeline, int]:
         source = _source_for_run(config, seed)
+        if source.n >= config.window_length:
+            # c >= 1 puts an atom at 0 that the model curve only partly captures
+            raise ConfigError(
+                f"aspect ratio c = N / T = {source.n} / {config.window_length} must be "
+                f"below 1: use a window longer than {source.n} samples"
+            )
         wspec = WindowSpec(N=source.n, T=config.window_length, stride=config.stride)
         tl = sweep(source, wspec, grid, cache=cache, keep_surface=config.dump_surface)
         if config.dump_eigenvalues:
-            _dump_eigenvalues(out / f"eigenvalues_seed{seed}.csv", source, wspec)
+            _write_rows(
+                out / f"eigenvalues_seed{seed}.csv", None, _window_eigenvalues(source, wspec)
+            )
         return tl, source.n
 
     started = time.perf_counter()
@@ -189,21 +174,30 @@ def run_detect(config: RunConfig) -> dict:
     timelines = [tl for tl, _ in runs]
 
     for k, tl in enumerate(timelines):
-        _write_timeline_csv(out / f"timeline_run{k:03d}.csv", tl)
+        _write_rows(
+            out / f"timeline_run{k:03d}.csv",
+            ["end_index", "p_hat", "b_hat", "divergence"],
+            ((r.end_index, r.p_hat, r.b_hat, r.divergence) for r in tl.results),
+        )
         if config.dump_surface:
-            _dump_surfaces(out / f"surface_run{k:03d}.csv", tl)
+            _write_rows(
+                out / f"surface_run{k:03d}.csv",
+                ["end_index", "p", "b", "divergence"],
+                (
+                    (r.end_index, p, b, d)
+                    for r in tl.results
+                    for (p, b), d in sorted((r.divergence_surface or {}).items())
+                ),
+            )
     if config.dump_densities:
         _dump_model_densities(out, grid, runs[0][1] / config.window_length, cache)
     avg = average_runs(timelines)
     annotations = detect_changes(avg, threshold=config.threshold, hold=config.hold)
-
-    def write_avg(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["end_index", "p_ave", "b_ave"])
-        for e, p, b in zip(avg.end_indices, avg.p_ave, avg.b_ave):
-            writer.writerow([e, p, b])
-
-    _atomic_write(out / "run_average.csv", write_avg)
+    _write_rows(
+        out / "run_average.csv",
+        ["end_index", "p_ave", "b_ave"],
+        zip(avg.end_indices, avg.p_ave, avg.b_ave),
+    )
 
     report = {
         "version": __version__,

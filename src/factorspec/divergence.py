@@ -1,12 +1,9 @@
-"""Zero-safe Kullback-Leibler and Jensen-Shannon divergence on binned densities."""
+"""Zero-safe Jensen-Shannon divergence on binned mass arrays."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .empirical_spectrum import SpectralDensity
-from .errors import BinMismatch
 
 
 @dataclass(frozen=True)
@@ -34,37 +31,15 @@ class ZeroHandlingPolicy:
 DEFAULT_POLICY = ZeroHandlingPolicy()
 
 
-def _check_edges(P: SpectralDensity, Q: SpectralDensity) -> None:
-    if P.bin_edges.shape != Q.bin_edges.shape or not np.array_equal(
-        P.bin_edges, Q.bin_edges
-    ):
-        raise BinMismatch("densities must share identical bin edges")
-
-
 def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sum(p * np.log(p / q), axis=-1)
-
-
-def kl_divergence(
-    P: SpectralDensity, Q: SpectralDensity, policy: ZeroHandlingPolicy = DEFAULT_POLICY
-) -> float:
-    """D_KL(P||Q) with zero bins smoothed on both sides."""
-    _check_edges(P, Q)
-    return float(_kl(policy.smooth(P.masses), policy.smooth(Q.masses)))
-
-
-def js_divergence(
-    P: SpectralDensity, Q: SpectralDensity, policy: ZeroHandlingPolicy = DEFAULT_POLICY
-) -> float:
-    """Jensen-Shannon divergence against the midpoint mixture (natural log)."""
-    _check_edges(P, Q)
-    return js_divergence_masses(P.masses, Q.masses, policy)
 
 
 def js_divergence_masses(
     p_masses: np.ndarray, q_masses: np.ndarray, policy: ZeroHandlingPolicy = DEFAULT_POLICY
 ) -> float | np.ndarray:
-    """js_divergence on raw mass arrays sharing an implicit common grid.
+    """Jensen-Shannon divergence against the midpoint mixture (natural log)
+    of mass arrays on a shared grid, zero bins smoothed on both sides.
 
     Bins lie on the last axis; leading axes broadcast, so (P, 1, K) against
     (1, B, K) scores a whole (P, B) surface in one call. 1-d inputs return a

@@ -1,113 +1,18 @@
-"""Factor decomposition, residual covariance, and empirical eigenvalue densities."""
+"""Empirical eigenvalue densities: histograms of a window's spectrum."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import StandardizedWindow, _frozen_array
-from .errors import EmptyBins, InvalidFactorCount
+from .errors import EmptyBins
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class FactorDecomposition:
-    """X = loadings @ factors + residual for a given factor count p."""
-
-    p: int
-    factors: np.ndarray  # (p, T), orthonormal rows
-    loadings: np.ndarray  # (N, p)
-    residual: np.ndarray  # (N, T)
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", _frozen_array(self.factors))
-        object.__setattr__(self, "loadings", _frozen_array(self.loadings))
-        object.__setattr__(self, "residual", _frozen_array(self.residual))
-
-
-@dataclass(frozen=True)
-class ResidualCovariance:
-    matrix: np.ndarray  # (N, N), symmetric PSD up to roundoff
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_array(self.matrix))
-
-
-@dataclass(frozen=True)
-class SpectralDensity:
-    """Binned probability density over an eigenvalue grid."""
-
-    bin_edges: np.ndarray  # K+1 ascending edges
-    masses: np.ndarray  # K nonnegative masses summing to 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "bin_edges", _frozen_array(self.bin_edges))
-        object.__setattr__(self, "masses", _frozen_array(self.masses))
-        if self.bin_edges.ndim != 1 or self.masses.ndim != 1:
-            raise EmptyBins("edges and masses must be 1-d")
-        if len(self.bin_edges) != len(self.masses) + 1:
-            raise EmptyBins("need K+1 edges for K masses")
-        if len(self.masses) < 2:
-            raise EmptyBins("need at least 2 bins")
-        if np.any(np.diff(self.bin_edges) <= 0):
-            raise ValueError("bin edges must be strictly increasing")
-        if np.any(self.masses < -1e-12):
-            raise ValueError("negative bin mass")
-        total = float(self.masses.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"masses sum to {total}, expected 1")
-
-    @property
-    def K(self) -> int:
-        return len(self.masses)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-
-def decompose(window: StandardizedWindow, p: int) -> FactorDecomposition:
-    """Split a standardized window into its top-p principal part and residual.
-
-    Factor rows are the top-p unit-norm eigenvectors of X'X (right singular
-    vectors of X, descending); loadings are the least-squares projection X F'.
-    """
-    x = window.values
-    n, t = x.shape
-    if p < 0 or p > min(n, t):
-        raise InvalidFactorCount(f"p={p} outside [0, {min(n, t)}]")
-    if p == 0:
-        return FactorDecomposition(
-            p=0,
-            factors=np.empty((0, t)),
-            loadings=np.empty((n, 0)),
-            residual=x,
-        )
-    _, _, vt = np.linalg.svd(x, full_matrices=False)
-    factors = vt[:p]
-    # deterministic sign: largest-magnitude entry of each factor row positive
-    peaks = factors[np.arange(p), np.argmax(np.abs(factors), axis=1)]
-    factors = factors * np.where(peaks < 0, -1.0, 1.0)[:, None]
-    loadings = x @ factors.T
-    residual = x - loadings @ factors
-    return FactorDecomposition(p=p, factors=factors, loadings=loadings, residual=residual)
-
-
-def residual_covariance(decomposition: FactorDecomposition, T: int) -> ResidualCovariance:
-    """C = (1/T) U U', symmetrized to kill roundoff asymmetry."""
-    u = decomposition.residual
-    if u.shape[1] != T:
-        raise InvalidFactorCount(f"residual has {u.shape[1]} columns, expected T={T}")
-    c = (u @ u.T) / T
-    c = 0.5 * (c + c.T)
-    return ResidualCovariance(matrix=c, p=decomposition.p)
-
-
-def density_from_eigenvalues(eigenvalues: np.ndarray, bin_edges: np.ndarray) -> SpectralDensity:
-    """Histogram eigenvalues onto `bin_edges`, clamping strays into the end bins."""
+def density_from_eigenvalues(eigenvalues: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
+    """(K,) masses of eigenvalues histogrammed onto K + 1 `bin_edges`,
+    clamping strays into the end bins."""
     edges = np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 3:
         raise EmptyBins("need at least 2 bins (3 edges)")
@@ -120,10 +25,4 @@ def density_from_eigenvalues(eigenvalues: np.ndarray, bin_edges: np.ndarray) -> 
         )
     clipped = np.clip(vals, edges[0], edges[-1])
     counts, _ = np.histogram(clipped, bins=edges)
-    return SpectralDensity(bin_edges=edges, masses=counts / vals.size)
-
-
-def empirical_density(cov: ResidualCovariance, bin_edges: np.ndarray) -> SpectralDensity:
-    """Empirical eigenvalue density of a residual covariance matrix."""
-    eigenvalues = np.linalg.eigvalsh(cov.matrix)
-    return density_from_eigenvalues(eigenvalues, bin_edges)
+    return counts / vals.size

@@ -34,23 +34,7 @@ class EmptyBins(FactorSpecError):
     pass
 
 
-class BinMismatch(FactorSpecError):
-    pass
-
-
-class SolverFailure(FactorSpecError):
-    pass
-
-
 class NoPhysicalRoot(FactorSpecError):
-    pass
-
-
-class SupportNotCovered(FactorSpecError):
-    pass
-
-
-class BranchCut(FactorSpecError):
     pass
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import RawDataSource, StandardizedWindow, WindowSpec, cut_window, standardize
-from .divergence import ZeroHandlingPolicy, js_divergence_masses
+from .divergence import js_divergence_masses
 from .empirical_spectrum import density_from_eigenvalues
 from .errors import FactorSpecError, GridExhausted, IndexMismatch, InvalidFactorCount
 from .model_spectrum import (
@@ -158,15 +158,13 @@ def _level_masses(
     return counts / n
 
 
-def shared_bin_edges(
-    emp_max: float, c: float, bins: int, quantum: float = 0.25
-) -> np.ndarray:
+def shared_bin_edges(emp_max: float, c: float, bins: int) -> np.ndarray:
     """Uniform edges over [0, u] spanning the empirical spectrum and at
-    least the b=0 model support; u is rounded up to a quantum so model
-    densities cache well across windows."""
+    least the b=0 model support; u is rounded up to a multiple of 0.25 so
+    model densities cache well across windows."""
     mp_edge = (1.0 + math.sqrt(c)) ** 2
     u = 1.05 * max(emp_max, mp_edge)
-    u = math.ceil(u / quantum) * quantum
+    u = math.ceil(u / 0.25) * 0.25
     return np.linspace(0.0, u, bins + 1)
 
 
@@ -175,7 +173,6 @@ def estimate_window(
     grid: SearchGrid,
     cache: ModelDensityCache | None = None,
     keep_surface: bool = False,
-    policy: ZeroHandlingPolicy | None = None,
 ) -> EstimationResult:
     """Joint argmin of the JS divergence between the p-level empirical
     density and the b-model density.
@@ -184,7 +181,6 @@ def estimate_window(
     pairs within 1e-15 of the minimum, the smallest p wins, then the
     smallest b. A b whose model density fails is skipped."""
     cache = cache if cache is not None else ModelDensityCache()
-    policy = policy if policy is not None else ZeroHandlingPolicy()
     n, t = window.values.shape
     c = n / t
     eigs = _residual_eigenvalues(window, grid.p_values)
@@ -192,9 +188,7 @@ def estimate_window(
     base = eigs.copy()
     base[: p_values[0]] = 0.0
     edges = shared_bin_edges(float(base.max()), c, grid.bins)
-    emp_masses = _level_masses(
-        eigs, p_values, density_from_eigenvalues(base, edges).masses, edges
-    )
+    emp_masses = _level_masses(eigs, p_values, density_from_eigenvalues(base, edges), edges)
 
     b_values: list[float] = []
     model_masses = []
@@ -209,9 +203,7 @@ def estimate_window(
     if not b_values:
         raise GridExhausted(f"every (p, b) pair failed; last error: {last_error}")
 
-    surface = js_divergence_masses(
-        emp_masses[:, None, :], np.stack(model_masses)[None, :, :], policy
-    )
+    surface = js_divergence_masses(emp_masses[:, None, :], np.stack(model_masses)[None, :, :])
     first = int(np.argmax(surface <= surface.min() + 1e-15))  # row-major: p, then b
     i, j = divmod(first, len(b_values))
     kept = None

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical_spectrum import SpectralDensity
-from .errors import BranchCut, NoPhysicalRoot, SolverFailure, SupportNotCovered
+from .errors import NoPhysicalRoot
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_B_MAX = 0.95
@@ -33,30 +32,6 @@ class NoiseModelParams:
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ValueError(f"aspect ratio c={self.c} must be finite and positive")
 
-    @property
-    def a(self) -> float:
-        return math.sqrt(1.0 - self.b * self.b)
-
-
-@dataclass(frozen=True)
-class ComplexPoint:
-    """Evaluation point z = lam + i*eps just above the real axis."""
-
-    lam: float
-    eps: float
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.lam, self.eps)
-
-
-def _as_complex(z) -> complex:
-    return z.z if isinstance(z, ComplexPoint) else complex(z)
-
 
 def _newton_refine(roots: np.ndarray, coeffs: np.ndarray, steps: int = 2) -> np.ndarray:
     """Polish roots with a few Newton steps; coeffs indexed [..., degree desc]."""
@@ -68,11 +43,6 @@ def _newton_refine(roots: np.ndarray, coeffs: np.ndarray, steps: int = 2) -> np.
         step = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
         m = m - step
     return m
-
-
-def _poly_eval(coeffs: np.ndarray, m: np.ndarray) -> np.ndarray:
-    c4, c3, c2, c1, c0 = (coeffs[..., k] for k in range(5))
-    return (((c4 * m + c3) * m + c2) * m + c1) * m + c0
 
 
 def _solve_many(zs: np.ndarray, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -101,67 +71,18 @@ def _solve_many(zs: np.ndarray, b: float, c: float) -> tuple[np.ndarray, np.ndar
     return roots, coeffs
 
 
-def solve_moment_polynomial(z, params: NoiseModelParams) -> np.ndarray:
-    """All four roots M of the moment polynomial at z, residual-checked."""
-    zc = _as_complex(z)
-    roots, coeffs = _solve_many(np.array([zc]), params.b, params.c)
-    roots, coeffs = roots[0], coeffs[0]
-    scale = abs(coeffs[0]) * np.maximum(1.0, np.abs(roots)) ** 4 + 1e-300
-    residuals = np.abs(_poly_eval(coeffs[None, :], roots)) / scale
-    if np.any(residuals > 1e-8):
-        raise SolverFailure(
-            f"root residuals {residuals.max():.3e} exceed tolerance at z={zc}"
-        )
-    return roots
-
-
-def green_function(M: complex, z) -> complex:
-    """G = (M + 1) / z, inverting M(z) = z G(z) - 1."""
-    return (M + 1.0) / _as_complex(z)
-
-
-def select_physical_root(
-    roots,
-    z,
-    previous_root: complex | None = None,
-    density_tol: float = 1e-8,
-) -> complex:
-    """Pick the root whose Green's function yields a nonnegative density.
-
-    With a previous root given, continuity (nearest root) breaks ambiguity;
-    otherwise the root closest to the large-|z| behaviour M ~ m1/z with
-    m1 = 1 (minimal |z*M - 1|) is taken.
-    """
-    zc = _as_complex(z)
+def select_physical_root(roots, z: complex, density_tol: float = 1e-8) -> complex:
+    """Pick the root whose Green's function yields a nonnegative density and
+    that lies closest to the large-|z| behaviour M ~ m1/z with m1 = 1
+    (minimal |z*M - 1|); seeds the continuity tracking far from the support."""
     roots = np.asarray(roots, dtype=complex)
-    g = (roots + 1.0) / zc
+    g = (roots + 1.0) / z
     rho = -g.imag / math.pi
     physical = np.nonzero(rho >= -density_tol)[0]
     if physical.size == 0:
-        raise NoPhysicalRoot(f"no root yields a nonnegative density at z={zc}")
-    if previous_root is not None:
-        pick = physical[np.argmin(np.abs(roots[physical] - previous_root))]
-    else:
-        pick = physical[np.argmin(np.abs(zc * roots[physical] - 1.0))]
+        raise NoPhysicalRoot(f"no root yields a nonnegative density at z={z}")
+    pick = physical[np.argmin(np.abs(z * roots[physical] - 1.0))]
     return complex(roots[pick])
-
-
-def ar1_mgf(z, b: float) -> complex:
-    """Moment generating function of the AR(1) auto-covariance spectrum.
-
-    M_B(z) = -1 / (sqrt(1 - lp*z) * sqrt(1 - lm*z)) with lp = (1+b)/(1-b),
-    lm = (1-b)/(1+b) the extreme eigenvalues of the lag-covariance symbol.
-    Consistent with the quartic moment polynomial: series coefficients around
-    z = 0 are the spectral moments of b^|s-t| (m1, m2, ... on z^0, z^1, ...).
-    """
-    if not (0.0 <= b < 1.0):
-        raise ValueError(f"b={b} outside [0, 1)")
-    zc = complex(z)
-    lp = (1.0 + b) / (1.0 - b)
-    lm = (1.0 - b) / (1.0 + b)
-    if abs(zc.imag) < 1e-12 and zc.real >= lm - 1e-12:
-        raise BranchCut(f"z={zc} lies on a square-root branch cut (cut starts at {lm})")
-    return -1.0 / (np.sqrt(1.0 - lp * zc) * np.sqrt(1.0 - lm * zc))
 
 
 def _pick_by_continuity(
@@ -281,44 +202,12 @@ def _cdf_on_grid(grid: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def bin_curve(
-    grid: np.ndarray, rho: np.ndarray, bin_edges: np.ndarray, clamp: bool = True
-) -> np.ndarray:
+def bin_curve(grid: np.ndarray, rho: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
     """Integrate a density curve into bins; mass beyond the last edge folds
-    into the last bin when `clamp` is set."""
+    into the last bin, mass below the first into the first."""
     cdf = _cdf_on_grid(grid, rho)
     at_edges = np.interp(bin_edges, grid, cdf, left=0.0, right=cdf[-1])
     masses = np.diff(at_edges)
-    if clamp:
-        masses[-1] += cdf[-1] - at_edges[-1]
-        masses[0] += at_edges[0]
+    masses[-1] += cdf[-1] - at_edges[-1]
+    masses[0] += at_edges[0]
     return masses
-
-
-def model_density(
-    params: NoiseModelParams,
-    lambda_grid=None,
-    epsilon: float = DEFAULT_EPSILON,
-    bin_edges=None,
-    bins: int = 100,
-) -> SpectralDensity:
-    """Binned theoretical density for the given (b, c).
-
-    The curve is evaluated along `lambda_grid` (a default support-covering
-    grid when omitted), integrated into bins, and renormalized to unit mass.
-    SupportNotCovered is raised when more than 1% of the mass lies off-grid.
-    """
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(params, epsilon)
-    grid = np.asarray(lambda_grid, dtype=float)
-    rho = model_density_curve(params, grid, epsilon)
-    total = float(np.trapezoid(rho, grid))
-    if total < 0.99:
-        raise SupportNotCovered(
-            f"only {total:.4f} of the spectral mass lies on the grid"
-        )
-    if bin_edges is None:
-        bin_edges = np.linspace(grid[0], grid[-1], bins + 1)
-    edges = np.asarray(bin_edges, dtype=float)
-    masses = bin_curve(grid, rho, edges)
-    return SpectralDensity(bin_edges=edges, masses=masses / masses.sum())

@@ -3,10 +3,7 @@
 Nothing here imports from the package under test, so agreement between the
 two implementations is meaningful evidence.
 """
-import functools
-
 import numpy as np
-from scipy.linalg import toeplitz
 
 
 def mp_support(c: float) -> tuple[float, float]:
@@ -35,44 +32,33 @@ def mp_green(z: complex, c: float) -> complex:
     raise AssertionError("no physical MP branch found")
 
 
-def ar1_covariance(b: float, T: int) -> np.ndarray:
-    """Stationary AR(1) autocovariance matrix, entries b^|i-j|."""
-    return toeplitz(b ** np.arange(T))
+def decompose(x, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split an N x T array into its top-p principal part and residual:
+    (factors (p, T), loadings (N, p), residual), x = loadings @ factors + residual.
 
-
-@functools.lru_cache(maxsize=None)
-def _ar1_spectrum(b: float, T: int) -> np.ndarray:
-    eigs = np.linalg.eigvalsh(ar1_covariance(b, T))
-    eigs.flags.writeable = False
-    return eigs
-
-
-def ar1_moment(b: float, k: int, T: int = 4000) -> float:
-    """Normalized trace moment (1/T) tr(Sigma^k) of the AR(1) covariance.
-
-    Computed by brute force from the Toeplitz matrix; T is large enough
-    that boundary effects are O(1/T). The spectrum is computed once per
-    (b, T) and shared by every k.
+    Factor rows are the top-p right singular vectors of x, each signed so its
+    largest-magnitude entry is positive; loadings are the projection x F'.
     """
-    return float(np.mean(_ar1_spectrum(b, T) ** k))
+    x = np.asarray(x, dtype=float)
+    n, t = x.shape
+    if not 0 <= p <= min(n, t):
+        raise ValueError(f"p={p} outside [0, {min(n, t)}]")
+    factors = np.linalg.svd(x, full_matrices=False)[2][:p]
+    peaks = factors[np.arange(p), np.argmax(np.abs(factors), axis=1)]
+    factors = factors * np.where(peaks < 0, -1.0, 1.0)[:, None]
+    loadings = x @ factors.T
+    return factors, loadings, x - loadings @ factors
 
 
-def ar1_mgf_series(b: float, order: int) -> np.ndarray:
-    """Spectral moments m_1..m_order of the AR(1) covariance, from the
-    generating identity sum_k m_{k+1} z^k = 1 / sqrt(1 - 2 q z + z^2) with
-    q = (1+b^2)/(1-b^2); the coefficients are the Legendre polynomials P_k(q).
+def residual_covariance(residual) -> np.ndarray:
+    """C = (1/T) U U', symmetrized to kill roundoff asymmetry."""
+    c = residual @ residual.T / residual.shape[1]
+    return 0.5 * (c + c.T)
 
-    Evaluated via Cauchy coefficients on a small circle, independent of the
-    package code path.
-    """
-    q = (1.0 + b * b) / (1.0 - b * b)
-    n = 256
-    r = 0.05
-    theta = 2.0 * np.pi * np.arange(n) / n
-    z = r * np.exp(1j * theta)
-    f = 1.0 / np.sqrt(1.0 - 2.0 * q * z + z * z)
-    coeffs = np.fft.fft(f) / n
-    return np.array([np.real(coeffs[k - 1] / r ** (k - 1)) for k in range(1, order + 1)])
+
+def empirical_density(cov, edges) -> np.ndarray:
+    """Histogram masses of a covariance matrix's eigenvalues."""
+    return histogram_masses(np.linalg.eigvalsh(cov), edges)
 
 
 def histogram_masses(samples, edges) -> np.ndarray:

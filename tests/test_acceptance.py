@@ -23,11 +23,11 @@ from factorspec import (
     average_runs,
     brute_force_spectrum,
     case_schedule,
+    density_from_eigenvalues,
     detect_changes,
     estimate_window,
     generate_ar1,
-    js_divergence,
-    model_density,
+    js_divergence_masses,
     model_density_curve,
     planted_factor_matrix,
     sweep,
@@ -67,21 +67,26 @@ def test_criterion_1_marchenko_pastur_reduction():
 
 
 def test_criterion_2_free_probability_cross_check():
+    """The estimator's own model route (ModelDensityCache) against pooled
+    Monte-Carlo eigenvalues, histogrammed onto the same edges."""
     started = time.perf_counter()
     worst = 0.0
+    on_grid = []
     for i, b in enumerate((0.3, 0.5, 0.7)):
-        mc_eigs = brute_force_spectrum(b=b, N=N, T=T, trials=50, seed=100 + i, bins=100)
-        edges = shared_bin_edges(float(mc_eigs.bin_edges[-1]), C, bins=100)
-        mc = brute_force_spectrum(b=b, N=N, T=T, trials=50, seed=100 + i, bin_edges=edges)
-        model = model_density(NoiseModelParams(b=b, c=C), epsilon=EPSILON, bin_edges=edges)
-        worst = max(worst, js_divergence(mc, model))
+        mc_eigs = brute_force_spectrum(b=b, N=N, T=T, trials=50, seed=100 + i)
+        edges = shared_bin_edges(float(mc_eigs.max()) * 1.05, C, bins=100)
+        grid, rho = CACHE.curve(b, C, EPSILON)
+        on_grid.append(float(np.trapezoid(rho, grid)))
+        model = CACHE.masses(b, C, EPSILON, edges)
+        worst = max(worst, js_divergence_masses(density_from_eigenvalues(mc_eigs, edges), model))
     runtime = time.perf_counter() - started
-    ok = worst < 0.05 and runtime < 60.0
+    ok = worst < 0.05 and min(on_grid) >= 0.99 and runtime < 60.0
     record_verdict(
         2,
         "free-probability cross-check",
         ok,
         f"worst JS={worst:.4f} (tol 0.05) over b in 0.3/0.5/0.7, "
+        f"on-grid mass={[round(m, 4) for m in on_grid]} (tol >= 0.99 each), "
         f"runtime={runtime:.1f}s (tol 60s)",
     )
 
@@ -202,30 +207,24 @@ def test_criterion_6_b_drop_direction(case1_experiments):
 def test_criterion_7_divergence_suite():
     rng = np.random.default_rng(700)
     k = 20
-    edges = np.linspace(0.0, 1.0, k + 1)
-    from factorspec import SpectralDensity
-
     checked = 0
     ok = True
     log2 = np.log(2.0)
     for _ in range(1000):
-        p = SpectralDensity(edges, rng.dirichlet(np.ones(k)))
-        q = SpectralDensity(edges, rng.dirichlet(np.ones(k)))
-        d_pq = js_divergence(p, q)
-        d_qp = js_divergence(q, p)
+        p = rng.dirichlet(np.ones(k))
+        q = rng.dirichlet(np.ones(k))
+        d_pq = js_divergence_masses(p, q)
+        d_qp = js_divergence_masses(q, p)
         ok &= abs(d_pq - d_qp) < 1e-12  # symmetry
         ok &= -1e-12 <= d_pq <= log2 + 1e-12  # nonnegative and bounded
-        ok &= js_divergence(p, p) < 1e-10  # zero at equality
-        if np.max(np.abs(p.masses - q.masses)) > 1e-5:
+        ok &= js_divergence_masses(p, p) < 1e-10  # zero at equality
+        if np.max(np.abs(p - q)) > 1e-5:
             ok &= d_pq > 0.0  # nonzero when distinct
         # spike sensitivity: pushing more mass into the top bin moves q
         # further from p in divergence
-        mild = 0.9 * q.masses + 0.1 * np.eye(k)[-1]
-        strong = 0.5 * q.masses + 0.5 * np.eye(k)[-1]
-        base = SpectralDensity(edges, q.masses)
-        ok &= js_divergence(base, SpectralDensity(edges, strong)) > js_divergence(
-            base, SpectralDensity(edges, mild)
-        )
+        mild = 0.9 * q + 0.1 * np.eye(k)[-1]
+        strong = 0.5 * q + 0.5 * np.eye(k)[-1]
+        ok &= js_divergence_masses(q, strong) > js_divergence_masses(q, mild)
         checked += 1
         if not ok:
             break

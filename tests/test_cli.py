@@ -90,6 +90,14 @@ def test_detect_rejects_runs_with_input(small_csv, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_detect_rejects_aspect_ratio_at_least_one(small_csv, tmp_path, capsys):
+    """c = N / T >= 1 puts an atom at 0 that the model curve only partly
+    captures, so estimates there would be silently wrong."""
+    assert run_detect(small_csv, tmp_path / "o", ["--window-length", "20"]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "o").exists()
+
+
 def test_detect_dump_surface(small_csv, tmp_path):
     out = tmp_path / "out"
     assert run_detect(small_csv, out, ["--dump-surface"]) == EXIT_OK

@@ -9,6 +9,7 @@ from factorspec import (
     PlantedFactorSpec,
     brute_force_spectrum,
     case_schedule,
+    density_from_eigenvalues,
     generate_ar1,
     planted_factor_matrix,
     synthesize_case,
@@ -94,15 +95,17 @@ def test_planted_factors_separate_from_bulk():
 
 
 def test_brute_force_spectrum_is_normalized_density():
-    dens = brute_force_spectrum(b=0.3, N=40, T=80, trials=3, seed=1, bins=25)
-    assert dens.masses.sum() == pytest.approx(1.0)
-    assert dens.K == 25
+    eigs = brute_force_spectrum(b=0.3, N=40, T=80, trials=3, seed=1)
+    assert eigs.shape == (3 * 40,)
+    masses = density_from_eigenvalues(eigs, np.linspace(0.0, 1.05 * eigs.max(), 26))
+    assert masses.sum() == pytest.approx(1.0)
+    assert masses.shape == (25,)
 
 
 def test_brute_force_spectrum_reproducible():
-    a = brute_force_spectrum(b=0.3, N=20, T=40, trials=2, seed=7, bins=10)
-    b = brute_force_spectrum(b=0.3, N=20, T=40, trials=2, seed=7, bins=10)
-    assert np.array_equal(a.masses, b.masses)
+    a = brute_force_spectrum(b=0.3, N=20, T=40, trials=2, seed=7)
+    b = brute_force_spectrum(b=0.3, N=20, T=40, trials=2, seed=7)
+    assert np.array_equal(a, b)
 
 
 def test_case_schedules_well_formed():

@@ -1,13 +1,12 @@
-"""KL/JS divergence properties on binned densities."""
+"""KL/JS divergence properties on binned mass arrays."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from factorspec import SpectralDensity, ZeroHandlingPolicy, js_divergence, kl_divergence
-from factorspec.divergence import js_divergence_masses
-from factorspec.errors import BinMismatch
+from factorspec import ZeroHandlingPolicy, js_divergence_masses
+from factorspec.divergence import DEFAULT_POLICY, _kl
 
 
 def masses_strategy(k=12, allow_zero=True):
@@ -19,51 +18,47 @@ def masses_strategy(k=12, allow_zero=True):
     )
 
 
-def density(masses):
-    edges = np.linspace(0.0, 1.0, len(masses) + 1)
-    return SpectralDensity(bin_edges=edges, masses=masses)
+def kl(p, q):
+    """The KL term inside the JS kernel, on smoothed inputs."""
+    return float(_kl(DEFAULT_POLICY.smooth(p), DEFAULT_POLICY.smooth(q)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(masses_strategy(), masses_strategy())
 def test_js_symmetry(p, q):
-    assert js_divergence(density(p), density(q)) == pytest.approx(
-        js_divergence(density(q), density(p)), abs=1e-12
-    )
+    assert js_divergence_masses(p, q) == pytest.approx(js_divergence_masses(q, p), abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(masses_strategy(), masses_strategy())
 def test_js_nonnegative_and_bounded(p, q):
-    d = js_divergence(density(p), density(q))
+    d = js_divergence_masses(p, q)
     assert -1e-12 <= d <= np.log(2.0) + 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(masses_strategy())
 def test_js_zero_iff_equal(p):
-    assert js_divergence(density(p), density(p)) == pytest.approx(0.0, abs=1e-12)
+    assert js_divergence_masses(p, p) == pytest.approx(0.0, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(masses_strategy(), masses_strategy())
 def test_js_positive_when_distinct(p, q):
     if np.max(np.abs(p - q)) > 1e-5:
-        assert js_divergence(density(p), density(q)) > 0.0
+        assert js_divergence_masses(p, q) > 0.0
 
 
 @settings(max_examples=100, deadline=None)
 @given(masses_strategy(), masses_strategy())
 def test_js_matches_reference(p, q):
-    assert js_divergence(density(p), density(q)) == pytest.approx(
-        oracles.js_reference(p, q), abs=1e-10
-    )
+    assert js_divergence_masses(p, q) == pytest.approx(oracles.js_reference(p, q), abs=1e-10)
 
 
 @settings(max_examples=100, deadline=None)
 @given(masses_strategy(allow_zero=False), masses_strategy(allow_zero=False))
 def test_kl_nonnegative_and_matches_reference(p, q):
-    d = kl_divergence(density(p), density(q))
+    d = kl(p, q)
     assert d >= -1e-12
     assert d == pytest.approx(oracles.kl_reference(p, q), abs=1e-10)
 
@@ -71,7 +66,7 @@ def test_kl_nonnegative_and_matches_reference(p, q):
 def test_kl_handles_zero_bins():
     p = np.array([0.5, 0.5, 0.0, 0.0])
     q = np.array([0.0, 0.0, 0.5, 0.5])
-    d = kl_divergence(density(p), density(q))
+    d = kl(p, q)
     assert np.isfinite(d) and d > 0
 
 
@@ -84,18 +79,9 @@ def test_spike_sensitivity():
     strong = base.copy()
     strong[9] += 0.3
     strong[0] -= 0.3
-    d_mild = js_divergence(density(base), density(mild / mild.sum()))
-    d_strong = js_divergence(density(base), density(strong / strong.sum()))
+    d_mild = js_divergence_masses(base, mild / mild.sum())
+    d_strong = js_divergence_masses(base, strong / strong.sum())
     assert 0 < d_mild < d_strong
-
-
-def test_bin_mismatch_raises():
-    p = density(np.full(12, 1 / 12))
-    q = SpectralDensity(bin_edges=np.linspace(0, 2, 13), masses=np.full(12, 1 / 12))
-    with pytest.raises(BinMismatch):
-        js_divergence(p, q)
-    with pytest.raises(BinMismatch):
-        kl_divergence(p, q)
 
 
 def test_policy_smoothing_preserves_total_mass():
@@ -111,18 +97,6 @@ def test_policy_rejects_bad_epsilon():
         ZeroHandlingPolicy(epsilon=0.0)
     with pytest.raises(ValueError):
         ZeroHandlingPolicy(epsilon=1.5)
-
-
-def test_masses_variant_agrees_with_density_variant():
-    rng = np.random.default_rng(0)
-    p = rng.dirichlet(np.ones(15))
-    q = rng.dirichlet(np.ones(15))
-    assert js_divergence_masses(p, q) == pytest.approx(
-        js_divergence(
-            SpectralDensity(np.linspace(0, 1, 16), p),
-            SpectralDensity(np.linspace(0, 1, 16), q),
-        )
-    )
 
 
 def test_smooth_on_a_stack_equals_smooth_per_row():

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from factorspec import (
     Ar1Spec,
     ChangePoint,
@@ -14,20 +15,18 @@ from factorspec import (
     Timeline,
     WindowSpec,
     average_runs,
-    decompose,
     detect_changes,
     estimate_window,
     generate_ar1,
     planted_factor_matrix,
     PlantedFactorSpec,
-    residual_covariance,
     sweep,
 )
 from factorspec import estimator
 from factorspec.divergence import js_divergence_masses
 from factorspec.empirical_spectrum import density_from_eigenvalues
 from factorspec.estimator import _level_masses, _residual_eigenvalues, shared_bin_edges
-from factorspec.errors import IndexMismatch, InvalidFactorCount, SupportNotCovered
+from factorspec.errors import IndexMismatch, InvalidFactorCount, NoPhysicalRoot
 
 CACHE = ModelDensityCache()  # shared across tests; model densities are immutable
 
@@ -63,7 +62,7 @@ def test_search_grid_validation():
 
 def test_fast_eigenvalue_path_matches_explicit_decomposition():
     """The sweep's single-eigendecomposition shortcut must agree with the
-    explicit decompose -> residual_covariance -> eigvalsh route."""
+    explicit reference route: decompose, residual covariance, eigvalsh."""
     rng = np.random.default_rng(21)
     w = standardized(rng.normal(size=(30, 60)))
     eigs = _residual_eigenvalues(w, (0, 1, 4))
@@ -71,8 +70,8 @@ def test_fast_eigenvalue_path_matches_explicit_decomposition():
     for p in (0, 1, 4):
         zeroed = eigs.copy()
         zeroed[:p] = 0.0
-        cov = residual_covariance(decompose(w, p), T=60)
-        explicit = np.linalg.eigvalsh(cov.matrix)
+        cov = oracles.residual_covariance(oracles.decompose(w.values, p)[2])
+        explicit = np.linalg.eigvalsh(cov)
         assert np.allclose(np.sort(zeroed), np.sort(explicit), atol=1e-9)
 
 
@@ -138,11 +137,11 @@ def test_level_masses_match_histograms_of_zeroed_spectra(p_values):
     eigs = np.sort(
         np.concatenate([[5.0, 4.0, 2.5, 2.5, 0.25], rng.uniform(0.0, 2.0, 30), [-1e-13]])
     )[::-1]
-    base = density_from_eigenvalues(zeroed(eigs, p_values[0]), edges).masses
+    base = density_from_eigenvalues(zeroed(eigs, p_values[0]), edges)
     derived = _level_masses(eigs, p_values, base, edges)
     assert derived.shape == (len(p_values), 20)
     for row, p in zip(derived, p_values):
-        assert np.array_equal(row, density_from_eigenvalues(zeroed(eigs, p), edges).masses)
+        assert np.array_equal(row, density_from_eigenvalues(zeroed(eigs, p), edges))
 
 
 def test_surface_equals_per_pair_scalar_loop():
@@ -157,7 +156,7 @@ def test_surface_equals_per_pair_scalar_loop():
     for b in grid.b_values:
         model = CACHE.masses(b, 0.5, grid.epsilon, edges)
         for p in grid.p_values:
-            emp = density_from_eigenvalues(zeroed(eigs, p), edges).masses
+            emp = density_from_eigenvalues(zeroed(eigs, p), edges)
             assert result.divergence_surface[(p, b)] == js_divergence_masses(emp, model)
 
 
@@ -170,7 +169,7 @@ class UniformCache:
 
     def masses(self, b, c, epsilon, bin_edges):
         if b in self.fail:
-            raise SupportNotCovered(f"stub failure at b={b}")
+            raise NoPhysicalRoot(f"stub failure at b={b}")
         return np.full(len(bin_edges) - 1, 1.0 / (len(bin_edges) - 1))
 
 
@@ -198,7 +197,7 @@ def test_tie_rule_picks_smallest_p_then_smallest_b(monkeypatch):
     surface[1, 3] = 0.1 + 5e-16  # tie, smaller p
     surface[1, 2] = 0.1 + 8e-16  # tie, same p, smaller b
     surface[0, 1] = 0.1 + 1e-14  # not a tie
-    monkeypatch.setattr(estimator, "js_divergence_masses", lambda p, q, policy: surface)
+    monkeypatch.setattr(estimator, "js_divergence_masses", lambda p, q: surface)
     w = standardized(generate_ar1(Ar1Spec(b=0.3, seed=43), N=40, T=100))
     result = estimate_window(w, small_grid(), cache=UniformCache())
     assert (result.p_hat, result.b_hat) == (1, 0.4)

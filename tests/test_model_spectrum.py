@@ -4,20 +4,26 @@ import pytest
 
 import oracles
 from factorspec import (
-    ComplexPoint,
+    ModelDensityCache,
     NoiseModelParams,
-    ar1_mgf,
     default_lambda_grid,
-    green_function,
-    model_density,
     model_density_curve,
     select_physical_root,
-    solve_moment_polynomial,
 )
-from factorspec.model_spectrum import bin_curve, support_cap
-from factorspec.errors import BranchCut, NoPhysicalRoot
+from factorspec.model_spectrum import _pick_by_continuity, _solve_many, bin_curve, support_cap
+from factorspec.errors import NoPhysicalRoot
 
 C = 118 / 250
+
+
+def roots_at(z, b):
+    roots, _ = _solve_many(np.array([z]), b, C)
+    return roots[0]
+
+
+def green(m, z):
+    """G = (M + 1) / z, inverting M(z) = z G(z) - 1."""
+    return (m + 1.0) / z
 
 
 def test_params_validation():
@@ -31,21 +37,14 @@ def test_params_validation():
         NoiseModelParams(b=0.5, c=0.0)
 
 
-def test_complex_point_requires_positive_offset():
-    assert ComplexPoint(lam=2.0, eps=1e-3).z == 2.0 + 1e-3j
-    with pytest.raises(ValueError):
-        ComplexPoint(lam=2.0, eps=0.0)
-
-
 def test_roots_satisfy_the_polynomial():
-    params = NoiseModelParams(b=0.4, c=C)
-    for lam in (0.5, 1.5, 3.0):
-        z = complex(lam, 1e-3)
-        roots = solve_moment_polynomial(z, params)
-        assert roots.shape == (4,)
-        # residuals are checked inside; verify the Green relation is sane
-        g = [green_function(m, z) for m in roots]
-        assert all(np.isfinite(gi) for gi in g)
+    zs = np.array([0.5, 1.5, 3.0]) + 1e-3j
+    roots, coeffs = _solve_many(zs, 0.4, C)
+    assert roots.shape == (3, 4)
+    for z, r, c in zip(zs, roots, coeffs):
+        scale = abs(c[0]) * np.maximum(1.0, np.abs(r)) ** 4
+        assert np.all(np.abs(np.polyval(c, r)) / scale < 1e-8)
+        assert np.all(np.isfinite(green(r, z)))
 
 
 def test_physical_root_reduces_to_mp_green_at_b_zero():
@@ -53,30 +52,30 @@ def test_physical_root_reduces_to_mp_green_at_b_zero():
     closed-form Marchenko-Pastur Stieltjes transform. Off-support points are
     resolved by the large-|z| heuristic alone; interior points get a
     continuity seed from a nearby point, as in the sweep."""
-    params = NoiseModelParams(b=0.0, c=C)
     for lam in (3.5, 6.0, 50.0):
         z = complex(lam, 1e-3)
-        m = select_physical_root(solve_moment_polynomial(z, params), z)
-        assert green_function(m, z) == pytest.approx(oracles.mp_green(z, C), abs=1e-6)
+        m = select_physical_root(roots_at(z, 0.0), z)
+        assert green(m, z) == pytest.approx(oracles.mp_green(z, C), abs=1e-6)
     for lam in (0.3, 1.0, 2.0):
         z = complex(lam, 1e-3)
         seed = z * oracles.mp_green(complex(lam + 0.01, 1e-3), C) - 1.0
-        m = select_physical_root(solve_moment_polynomial(z, params), z, previous_root=seed)
-        assert green_function(m, z) == pytest.approx(oracles.mp_green(z, C), abs=1e-4)
+        m, _ = _pick_by_continuity(roots_at(z, 0.0), z, seed, 1e-8)
+        assert green(m, z) == pytest.approx(oracles.mp_green(z, C), abs=1e-4)
 
 
 def test_physical_root_continuity_tracking():
-    params = NoiseModelParams(b=0.3, c=C)
     z1 = complex(1.0, 1e-3)
-    m1 = select_physical_root(solve_moment_polynomial(z1, params), z1)
+    m1 = select_physical_root(roots_at(z1, 0.3), z1)
     z2 = complex(1.01, 1e-3)
-    m2 = select_physical_root(solve_moment_polynomial(z2, params), z2, previous_root=m1)
+    m2, _ = _pick_by_continuity(roots_at(z2, 0.3), z2, m1, 1e-8)
     assert abs(m2 - m1) < 0.1
 
 
 def test_physical_root_rejects_all_negative_densities():
     with pytest.raises(NoPhysicalRoot):
         select_physical_root([1.0 + 5.0j], 1.0 + 1e-3j)
+    with pytest.raises(NoPhysicalRoot):
+        _pick_by_continuity(np.array([1.0 + 5.0j]), 1.0 + 1e-3j, 0j, 1e-8)
 
 
 def test_mp_reduction_curve():
@@ -85,27 +84,6 @@ def test_mp_reduction_curve():
     lam = np.linspace(lo + 0.1, hi - 0.1, 300)
     rho = model_density_curve(params, lam, epsilon=1e-4)
     assert np.max(np.abs(rho - oracles.mp_density(lam, C))) < 5e-3
-
-
-def test_mgf_series_matches_ar1_spectral_moments():
-    """The closed-form MGF must generate the trace moments of the b^|s-t|
-    autocovariance matrix (package convention carries an overall minus)."""
-    for b in (0.2, 0.5, 0.7):
-        moments = oracles.ar1_mgf_series(b, 4)
-        brute = np.array([oracles.ar1_moment(b, k) for k in range(1, 5)])
-        assert np.allclose(moments, brute, rtol=0.02)  # O(1/T) Toeplitz boundary
-        for z in (-0.02, 0.01 + 0.015j):
-            series = sum(moments[k] * z**k for k in range(4))
-            assert -ar1_mgf(z, b) == pytest.approx(series, abs=2e-4)
-
-
-def test_mgf_branch_cut_raises():
-    b = 0.5
-    lm = (1 - b) / (1 + b)
-    with pytest.raises(BranchCut):
-        ar1_mgf(lm + 0.1, b)
-    ar1_mgf(lm - 0.05, b)  # left of the cut is fine
-    ar1_mgf(complex(lm + 0.1, 0.01), b)  # off-axis is fine
 
 
 def test_model_density_mass_and_mean():
@@ -147,20 +125,22 @@ def test_bin_curve_clamps_tail_into_last_bin():
     grid = np.linspace(0.0, 10.0, 2001)
     rho = np.exp(-grid)
     narrow = np.linspace(0.0, 2.0, 9)
-    clamped = bin_curve(grid, rho, narrow, clamp=True)
-    open_ended = bin_curve(grid, rho, narrow, clamp=False)
-    tail = np.trapezoid(rho, grid) - np.trapezoid(rho[grid <= 2.0], grid[grid <= 2.0])
-    assert clamped[-1] - open_ended[-1] == pytest.approx(tail, abs=1e-6)
+    masses = bin_curve(grid, rho, narrow)
+    # the last bin holds [1.75, 2] plus everything past the last edge
+    tail = grid >= 1.75 - 1e-9
+    assert masses[-1] == pytest.approx(np.trapezoid(rho[tail], grid[tail]), abs=1e-6)
 
 
 def test_model_density_binned_matches_closed_form_cdf():
-    params = NoiseModelParams(b=0.0, c=C)
-    dens = model_density(params, epsilon=1e-4, bins=50)
+    cache = ModelDensityCache()
+    grid, _ = cache.curve(0.0, C, 1e-4)
+    edges = np.linspace(0.0, grid[-1], 51)
+    masses = cache.masses(0.0, C, 1e-4, edges)
     lo, hi = oracles.mp_support(C)
     # compare binned masses against the closed-form MP integral per bin
     fine = np.linspace(lo, hi, 20001)
     ref_cdf = np.concatenate(
         [[0.0], np.cumsum(0.5 * (oracles.mp_density(fine, C)[1:] + oracles.mp_density(fine, C)[:-1]) * np.diff(fine))]
     )
-    at_edges = np.interp(dens.bin_edges, fine, ref_cdf, left=0.0, right=ref_cdf[-1])
-    assert np.max(np.abs(dens.masses - np.diff(at_edges))) < 5e-3
+    at_edges = np.interp(edges, fine, ref_cdf, left=0.0, right=ref_cdf[-1])
+    assert np.max(np.abs(masses - np.diff(at_edges))) < 5e-3
