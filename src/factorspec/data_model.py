@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import csv
+import itertools
+import mmap
 import threading
 import warnings
 from dataclasses import dataclass
@@ -30,6 +32,19 @@ class RawDataSource:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_array(self.values))
+        self._check()
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> RawDataSource:
+        """A source over `values` itself rather than a copy, for a float64
+        array that no caller holds, such as the parse `load_csv` just made."""
+        values.setflags(write=False)
+        source = object.__new__(cls)
+        object.__setattr__(source, "values", values)
+        source._check()
+        return source
+
+    def _check(self) -> None:
         if self.values.ndim != 2:
             raise DimensionMismatch("source must be a 2-d matrix")
         n, t = self.values.shape
@@ -127,25 +142,66 @@ def load_csv(path, skip_header: bool = False) -> RawDataSource:
     values = _loadtxt(path, skip_header)
     if values is None:
         values = _parse_cells(path, skip_header)
-    return RawDataSource(values=values)
+    return RawDataSource._adopt(values)
 
 
 _LOADTXT_LOCK = threading.Lock()  # keeps concurrent catch_warnings blocks nested
+_BLOCK_CHARS = 1 << 20  # text handed to one np.loadtxt call
 
 
 def _loadtxt(path, skip_header: bool) -> np.ndarray | None:
-    """The fast parse, or None when the cell-by-cell parser must decide."""
-    with _LOADTXT_LOCK, warnings.catch_warnings(record=True) as caught:
+    """The fast parse, or None when the cell-by-cell parser must decide.
+
+    np.loadtxt parses about a megabyte of lines at a time, and the rows go
+    into one anonymous memory map with room for every line of the file. A
+    record parsed in one call lands in the process heap instead, where the
+    block a freed record leaves stays resident and the next record fits
+    into it or not by a few bytes, so the resident size of repeated loads
+    can differ by a whole record from one run to the next. The map's pages
+    go back to the system as soon as the source is dropped."""
+    out, rows, block = None, 0, 1
+    with _LOADTXT_LOCK, warnings.catch_warnings(record=True) as caught, open(path) as fh:
         warnings.simplefilter("always")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # blank lines
         try:
-            values = np.loadtxt(
-                path, delimiter=",", ndmin=2, comments=None, skiprows=int(skip_header)
-            )
+            if skip_header:
+                fh.readline()
+            while lines := list(itertools.islice(fh, block)):
+                part = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+                block = max(1, _BLOCK_CHARS * len(lines) // sum(map(len, lines)))
+                if part.size == 0:
+                    continue
+                if out is None:
+                    out = _mapped_rows(_line_bound(path), part.shape[1])
+                if part.shape[1] != out.shape[1] or not np.all(np.isfinite(part)):
+                    return None
+                out[rows : rows + len(part)] = part
+                rows += len(part)
         except ValueError:  # a bad cell, a ragged row, undecodable bytes
             return None
-    if caught or values.size == 0 or not np.all(np.isfinite(values)):
+    if caught or out is None:
         return None
-    return values
+    return out[:rows]
+
+
+def _mapped_rows(n: int, m: int) -> np.ndarray:
+    """An n x m float64 array in anonymous memory of its own; pages count as
+    resident once written."""
+    return np.frombuffer(mmap.mmap(-1, n * m * 8), dtype=np.float64).reshape(n, m)
+
+
+def _line_bound(path) -> int:
+    """The lines of a text file, ended by LF, CRLF or CR as Python's text
+    mode splits them: at least the rows np.loadtxt can find in it."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            lines -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split across reads
+            last = chunk[-1:]
+    return lines + (last not in (b"\n", b"\r"))
 
 
 def _parse_cells(path, skip_header: bool) -> np.ndarray:

@@ -72,8 +72,10 @@ def _innovations(spec: Ar1Spec, rng: np.random.Generator, shape) -> np.ndarray:
         xi = rng.standard_normal(shape)
     else:
         dof = spec.heavy_tail_dof
-        xi = rng.standard_t(dof, shape) * np.sqrt((dof - 2.0) / dof)
-    return xi * scale
+        xi = rng.standard_t(dof, shape)
+        xi *= np.sqrt((dof - 2.0) / dof)
+    xi *= scale
+    return xi
 
 
 def generate_ar1(
@@ -90,9 +92,10 @@ def generate_ar1(
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     rng = rng if rng is not None else np.random.default_rng(spec.seed)
-    xi = _innovations(spec, rng, (N, T + burn_in))
-    xi[:, 0] = rng.standard_normal(N)  # stationary start, variance 1
-    path = lfilter([1.0], [1.0, -spec.b], xi, axis=1)
+    path = _innovations(spec, rng, (N, T + burn_in))
+    path[:, 0] = rng.standard_normal(N)  # stationary start, variance 1
+    for row in path:  # filtered in place, so a long record is allocated once
+        row[:] = lfilter([1.0], [1.0, -spec.b], row)
     return path[:, burn_in:]
 
 

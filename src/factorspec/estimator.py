@@ -11,7 +11,13 @@ import numpy as np
 from .data_model import RawDataSource, StandardizedWindow, WindowSpec, cut_window, standardize
 from .divergence import js_divergence_masses
 from .empirical_spectrum import density_from_eigenvalues
-from .errors import FactorSpecError, GridExhausted, IndexMismatch, InvalidFactorCount
+from .errors import (
+    DimensionMismatch,
+    FactorSpecError,
+    GridExhausted,
+    IndexMismatch,
+    InvalidFactorCount,
+)
 from .model_spectrum import (
     DEFAULT_B_MAX,
     DEFAULT_EPSILON,
@@ -179,9 +185,13 @@ def estimate_window(
 
     The whole (p, b) surface is scored in one call. Tie rule: among the
     pairs within 1e-15 of the minimum, the smallest p wins, then the
-    smallest b. A b whose model density fails is skipped."""
+    smallest b. A b whose model density fails is skipped. A window with
+    N >= T raises DimensionMismatch: c >= 1 puts an atom at 0 that the model
+    curve only partly captures."""
     cache = cache if cache is not None else ModelDensityCache()
     n, t = window.values.shape
+    if n >= t:
+        raise DimensionMismatch(f"aspect ratio c = N / T = {n} / {t} must be below 1")
     c = n / t
     eigs = _residual_eigenvalues(window, grid.p_values)
     p_values = sorted(grid.p_values)

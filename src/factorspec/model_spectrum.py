@@ -108,16 +108,59 @@ def _advance_root(
     params: NoiseModelParams,
     tol: float,
     depth: int = 24,
+    roots_z1: np.ndarray | None = None,
 ) -> complex:
     """Continue the physical branch from z0 to z1, bisecting the segment
-    whenever the nearest-root choice is ambiguous."""
-    roots, _ = _solve_many(np.array([z1]), params.b, params.c)
-    pick, ambiguous = _pick_by_continuity(roots[0], z1, prev, tol)
+    whenever the nearest-root choice is ambiguous. The final pick is taken
+    from `roots_z1` when the roots at z1 are already solved."""
+    if roots_z1 is None:
+        roots_z1 = _solve_many(np.array([z1]), params.b, params.c)[0][0]
+    pick, ambiguous = _pick_by_continuity(roots_z1, z1, prev, tol)
     if not ambiguous or depth <= 0 or abs(z1 - z0) < 1e-12:
         return pick
     mid = 0.5 * (z0 + z1)
     prev_mid = _advance_root(prev, z0, mid, params, tol, depth - 1)
-    return _advance_root(prev_mid, mid, z1, params, tol, depth - 1)
+    return _advance_root(prev_mid, mid, z1, params, tol, depth - 1, roots_z1)
+
+
+def _track_branch(
+    zs: np.ndarray, roots: np.ndarray, params: NoiseModelParams, tol: float
+) -> np.ndarray:
+    """The physical root at each z of a path, chosen by continuity.
+
+    One broadcast ranks, for every step and every root of the step before,
+    the physical roots of the step by distance; ties go to the lowest index,
+    and a runner-up nearly as close marks the step ambiguous (it likely
+    crossed a branch point). The walk then follows root indices through that
+    table and bisects only the ambiguous steps with `_advance_root`.
+    """
+    rho = -((roots + 1.0) / zs[:, None]).imag / math.pi
+    physical = rho >= -tol
+    # dist[i - 1, j, k]: from root j at step i - 1 to physical root k at step i
+    dist = np.where(
+        physical[1:, None, :], np.abs(roots[1:, None, :] - roots[:-1, :, None]), np.inf
+    )
+    order = np.argsort(dist, axis=-1, kind="stable")
+    ranked = np.take_along_axis(dist, order[..., :2], axis=-1)
+    counts = physical.sum(axis=1)
+    ambiguous = (counts[1:, None] > 1) & (ranked[..., 0] > 0.5 * ranked[..., 1])
+    nearest, ambiguous, counts = order[..., 0].tolist(), ambiguous.tolist(), counts.tolist()
+
+    seed = select_physical_root(roots[0], zs[0], density_tol=tol)
+    j = int(np.flatnonzero(roots[0] == seed)[0])
+    picks = [j]
+    for i in range(1, zs.size):
+        if counts[i] == 0:
+            raise NoPhysicalRoot(f"no root yields a nonnegative density at z={zs[i]}")
+        if ambiguous[i - 1][j]:
+            pick = _advance_root(
+                complex(roots[i - 1, j]), zs[i - 1], zs[i], params, tol, roots_z1=roots[i]
+            )
+            j = int(np.flatnonzero(roots[i] == pick)[0])
+        else:
+            j = nearest[i - 1][j]
+        picks.append(j)
+    return roots[np.arange(zs.size), picks]
 
 
 def _sweep_curve(
@@ -144,16 +187,7 @@ def _sweep_curve(
     bridge = np.concatenate([horizontal, vertical])
     zs = np.concatenate([bridge, grid[::-1] + 1j * epsilon])
     roots, _ = _solve_many(zs, params.b, params.c)
-
-    picked = np.empty(zs.size, dtype=complex)
-    prev = select_physical_root(roots[0], zs[0], density_tol=clip_tol)
-    picked[0] = prev
-    for i in range(1, zs.size):
-        pick, ambiguous = _pick_by_continuity(roots[i], zs[i], prev, clip_tol)
-        if ambiguous:
-            pick = _advance_root(prev, zs[i - 1], zs[i], params, clip_tol)
-        prev = pick
-        picked[i] = prev
+    picked = _track_branch(zs, roots, params, clip_tol)
 
     g = (picked[len(bridge):] + 1.0) / zs[len(bridge):]
     rho = -g.imag / math.pi

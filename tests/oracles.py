@@ -91,3 +91,37 @@ def js_reference(p, q, eps: float = 1e-12) -> float:
     q = smooth_reference(q, eps)
     m = 0.5 * (p + q)
     return float(0.5 * np.sum(p * np.log(p / m)) + 0.5 * np.sum(q * np.log(q / m)))
+
+
+def continuity_walk(roots, zs, seed, advance, tol: float) -> np.ndarray:
+    """Reference branch tracking, one grid point at a time.
+
+    From `seed` at zs[0], each step takes the physical root (density
+    -Im((M + 1) / z) / pi >= -tol) nearest the previous pick; when the
+    runner-up is nearly as close, `advance(prev, z0, z1)` bisects the step
+    instead. `roots` holds the four roots at each z."""
+    picked = np.empty(zs.size, dtype=complex)
+    prev = picked[0] = seed
+    for i in range(1, zs.size):
+        rho = -((roots[i] + 1.0) / zs[i]).imag / np.pi
+        cand = roots[i][rho >= -tol]
+        assert cand.size > 0, f"no physical root at z={zs[i]}"
+        dist = np.abs(cand - prev)
+        order = np.argsort(dist)
+        if cand.size > 1 and dist[order[0]] > 0.5 * dist[order[1]]:
+            prev = advance(prev, zs[i - 1], zs[i])
+        else:
+            prev = complex(cand[order[0]])
+        picked[i] = prev
+    return picked
+
+
+def ar1_paths(b: float, N: int, T: int, burn_in: int, rng) -> np.ndarray:
+    """Gaussian AR(1) rows by the plain recursion x_t = b x_{t-1} + e_t, with
+    e_t of variance 1 - b^2, drawing from `rng` in the generator's order: the
+    innovations, then the stationary start."""
+    x = rng.standard_normal((N, T + burn_in)) * np.sqrt(1.0 - b * b)
+    x[:, 0] = rng.standard_normal(N)
+    for t in range(1, x.shape[1]):
+        x[:, t] += b * x[:, t - 1]
+    return x[:, burn_in:]

@@ -182,3 +182,55 @@ def test_load_csv_empty_file_falls_back_without_warning(tmp_path, recwarn):
     with pytest.raises(DimensionMismatch):
         load_csv(path)
     assert not recwarn.list
+
+
+def test_raw_data_source_copies_its_input():
+    data = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    data.setflags(write=False)
+    assert not np.shares_memory(RawDataSource(values=data).values, data)
+
+
+def test_load_csv_keeps_the_parse_without_a_copy(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_text("1,2,3\n4,5,6\n")
+    parsed = []
+    real = data_model._loadtxt
+    monkeypatch.setattr(data_model, "_loadtxt", lambda *a: parsed.append(real(*a)) or parsed[-1])
+    src = load_csv(path)
+    assert np.shares_memory(src.values, parsed[0]) and not src.values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [(b"1,2\r\n3,4\r\n\r\n5,6", 4), (b"1,2\r3,4\r5,6\r", 3), (b"1,2\n3,4\n5,6", 3)],
+)
+def test_load_csv_row_bound_covers_every_line_ending(tmp_path, text, lines):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    assert data_model._line_bound(path) == lines
+    assert np.array_equal(data_model._loadtxt(path, skip_header=False), [[1, 2], [3, 4], [5, 6]])
+
+
+@pytest.mark.parametrize(
+    "text, expect",
+    [
+        ("\n1,2\n\n3,4\n5,6\n\n", [[1, 2], [3, 4], [5, 6]]),
+        ("1,2\n3,4\n5,6,7\n", None),  # ragged in a later block
+        ("1,2\n3,4\n5,nan\n", None),
+    ],
+)
+def test_load_csv_fast_path_across_blocks(tmp_path, monkeypatch, text, expect):
+    """Parsed a line or two per np.loadtxt call, the fast path still keeps
+    blank lines out and leaves a ragged or non-finite later row to the cell
+    parser."""
+    monkeypatch.setattr(data_model, "_BLOCK_CHARS", 4)
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    fast = data_model._loadtxt(path, skip_header=False)
+    if expect is None:
+        assert fast is None
+        with pytest.raises(CsvParseError):
+            load_csv(path)
+    else:
+        assert np.array_equal(fast, expect)
+        assert np.array_equal(data_model._parse_cells(path, skip_header=False), expect)

@@ -16,6 +16,8 @@ from factorspec import (
 )
 from factorspec.errors import InvalidCoefficient, ScheduleOutOfRange
 
+import oracles
+
 
 def test_ar1_spec_rejects_nonstationary_coefficients():
     with pytest.raises(InvalidCoefficient):
@@ -47,6 +49,13 @@ def test_ar1_seed_reproducibility():
     a = generate_ar1(Ar1Spec(b=0.4, seed=9), N=5, T=20)
     b = generate_ar1(Ar1Spec(b=0.4, seed=9), N=5, T=20)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("b, burn_in", [(0.0, 0), (0.4, 200), (0.95, 30), (-0.5, 1)])
+def test_ar1_rows_equal_the_plain_recursion(b, burn_in):
+    """The in-place filter gives the recursion's values bit for bit."""
+    x = generate_ar1(Ar1Spec(b=b), N=6, T=300, burn_in=burn_in, rng=np.random.default_rng(5))
+    assert np.array_equal(x, oracles.ar1_paths(b, 6, 300, burn_in, np.random.default_rng(5)))
 
 
 def test_ar1_heavy_tail_variance_matched():

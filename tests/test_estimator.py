@@ -26,7 +26,12 @@ from factorspec import estimator
 from factorspec.divergence import js_divergence_masses
 from factorspec.empirical_spectrum import density_from_eigenvalues
 from factorspec.estimator import _level_masses, _residual_eigenvalues, shared_bin_edges
-from factorspec.errors import IndexMismatch, InvalidFactorCount, NoPhysicalRoot
+from factorspec.errors import (
+    DimensionMismatch,
+    IndexMismatch,
+    InvalidFactorCount,
+    NoPhysicalRoot,
+)
 
 CACHE = ModelDensityCache()  # shared across tests; model densities are immutable
 
@@ -204,6 +209,23 @@ def test_tie_rule_picks_smallest_p_then_smallest_b(monkeypatch):
     assert result.divergence == surface[1, 2]
 
 
+def test_estimate_window_rejects_aspect_ratio_at_least_one():
+    """c = N / T >= 1 puts an atom at 0 that the model curve only partly
+    captures, so such a window is refused before it is scored."""
+    for n, t in ((20, 20), (30, 20)):
+        w = standardized(generate_ar1(Ar1Spec(b=0.3, seed=36), N=n, T=t))
+        with pytest.raises(DimensionMismatch, match="aspect ratio"):
+            estimate_window(w, small_grid(), cache=UniformCache())
+
+
+def test_sweep_records_aspect_ratio_failures():
+    src = RawDataSource(values=generate_ar1(Ar1Spec(b=0.3, seed=36), N=20, T=60))
+    tl = sweep(src, WindowSpec(N=20, T=20, stride=20), small_grid(), cache=UniformCache())
+    assert tl.results == ()
+    assert [e for e, _ in tl.failures] == [20, 40, 60]
+    assert all("DimensionMismatch" in msg for _, msg in tl.failures)
+
+
 def test_sweep_covers_expected_end_indices():
     src = RawDataSource(values=generate_ar1(Ar1Spec(b=0.3, seed=34), N=40, T=140))
     tl = sweep(src, WindowSpec(N=40, T=100, stride=10), small_grid(), cache=CACHE)
@@ -212,14 +234,14 @@ def test_sweep_covers_expected_end_indices():
 
 
 def test_sweep_records_failures_and_continues():
-    vals = generate_ar1(Ar1Spec(b=0.3, seed=35), N=20, T=80)
-    vals[3, 40:60] = 4.2  # constant stretch: windows ending in 60..79 degenerate
+    vals = generate_ar1(Ar1Spec(b=0.3, seed=35), N=20, T=160)
+    vals[3, 40:80] = 4.2  # constant stretch: only the window ending at 80 degenerates
     src = RawDataSource(values=vals)
-    tl = sweep(src, WindowSpec(N=20, T=20, stride=20), small_grid(), cache=CACHE)
+    tl = sweep(src, WindowSpec(N=20, T=40, stride=20), small_grid(), cache=CACHE)
     assert len(tl.failures) == 1
-    assert tl.failures[0][0] == 60
+    assert tl.failures[0][0] == 80
     assert "DegenerateRow" in tl.failures[0][1]
-    assert tl.end_indices == (20, 40, 80)
+    assert tl.end_indices == (40, 60, 100, 120, 140, 160)
 
 
 def make_timeline(end_indices, p_values):

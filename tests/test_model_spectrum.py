@@ -1,4 +1,6 @@
 """Theoretical density: polynomial solver, branch selection, MP reduction."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,14 @@ from factorspec import (
     model_density_curve,
     select_physical_root,
 )
-from factorspec.model_spectrum import _pick_by_continuity, _solve_many, bin_curve, support_cap
+from factorspec import model_spectrum
+from factorspec.model_spectrum import (
+    _pick_by_continuity,
+    _solve_many,
+    _sweep_curve,
+    bin_curve,
+    support_cap,
+)
 from factorspec.errors import NoPhysicalRoot
 
 C = 118 / 250
@@ -76,6 +85,72 @@ def test_physical_root_rejects_all_negative_densities():
         select_physical_root([1.0 + 5.0j], 1.0 + 1e-3j)
     with pytest.raises(NoPhysicalRoot):
         _pick_by_continuity(np.array([1.0 + 5.0j]), 1.0 + 1e-3j, 0j, 1e-8)
+
+
+def reference_track(zs, roots, params, tol):
+    """The per-point walk; each ambiguous step is bisected by `_advance_root`
+    from a fresh solve at the step's end."""
+    seed = select_physical_root(roots[0], zs[0], density_tol=tol)
+    return oracles.continuity_walk(
+        roots,
+        zs,
+        seed,
+        lambda prev, z0, z1: model_spectrum._advance_root(prev, z0, z1, params, tol),
+        tol,
+    )
+
+
+def three_sweeps(params, epsilon):
+    """The support scan, the default grid, and the curve on that grid."""
+    scan = np.linspace(0.0, support_cap(params), 512)
+    grid = default_lambda_grid(params, epsilon)
+    return (
+        _sweep_curve(scan, params, epsilon),
+        grid,
+        model_density_curve(params, grid, epsilon),
+    )
+
+
+def test_table_walk_matches_reference_walk(monkeypatch):
+    """The nearest-root table picks the reference walk's roots bit for bit,
+    across the b range, three aspect ratios, two offsets and both grids."""
+    bisections = 0
+    real_advance = model_spectrum._advance_root
+
+    def counting(*args, **kwargs):
+        nonlocal bisections
+        bisections += 1
+        return real_advance(*args, **kwargs)
+
+    for b, c, epsilon in itertools.product(
+        (0.0, 0.3, 0.5, 0.7, 0.9, 0.95), (0.1, C, 20 / 30), (1e-3, 1e-4)
+    ):
+        params = NoiseModelParams(b=b, c=c)
+        with monkeypatch.context() as m:
+            m.setattr(model_spectrum, "_advance_root", counting)
+            got = three_sweeps(params, epsilon)
+        with monkeypatch.context() as m:
+            m.setattr(model_spectrum, "_track_branch", reference_track)
+            want = three_sweeps(params, epsilon)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), (b, c, epsilon)
+    assert bisections > 0
+
+
+def test_walk_raises_when_a_step_has_no_physical_root(monkeypatch):
+    real_solve = model_spectrum._solve_many
+
+    def one_bad_step(zs, b, c):
+        roots, coeffs = real_solve(zs, b, c)
+        if roots.shape[0] > 1:
+            k = roots.shape[0] - 100
+            roots[k] = 10j * zs[k] - 1.0  # G = (M + 1) / z = 10i: density -10 / pi
+        return roots, coeffs
+
+    monkeypatch.setattr(model_spectrum, "_solve_many", one_bad_step)
+    params = NoiseModelParams(b=0.3, c=C)
+    with pytest.raises(NoPhysicalRoot, match="no root yields a nonnegative density at z="):
+        model_density_curve(params, np.linspace(0.0, 3.0, 300), epsilon=1e-4)
 
 
 def test_mp_reduction_curve():
