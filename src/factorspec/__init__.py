@@ -46,7 +46,6 @@ from .model_spectrum import (
     NoiseModelParams,
     default_lambda_grid,
     model_density_curve,
-    select_physical_root,
 )
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "load_csv",
     "model_density_curve",
     "planted_factor_matrix",
-    "select_physical_root",
     "standardize",
     "sweep",
     "synthesize_case",

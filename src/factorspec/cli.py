@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data_model import RawDataSource, WindowSpec, cut_window, load_csv, standardize
+from .data_model import RawDataSource, WindowSpec, load_csv
 from .datagen import Ar1Spec, PlantedFactorSpec, case_schedule, synthesize_case
-from .errors import ConfigError, FactorSpecError
+from .errors import ConfigError, FactorSpecError, InvalidCoefficient
 from .estimator import (
     ModelDensityCache,
     SearchGrid,
@@ -41,6 +41,9 @@ EXIT_PIPELINE = 4
 
 @dataclass
 class RunConfig:
+    """Every `detect` option: each field is the flag of the same name
+    (`input_path` is `--input`), and its default here is the flag's."""
+
     input_path: str | None = None
     case: str | None = None
     window_length: int = 250
@@ -57,11 +60,13 @@ class RunConfig:
     noise_b: float = 0.5
     threshold: float = 0.5
     hold: int = 3
-    dump_eigenvalues: bool = False
     dump_densities: bool = False
     dump_surface: bool = False
 
     def validate(self) -> None:
+        """Raise ConfigError for a missing source or an out-of-range option.
+        The window geometry needs the source's row count, so `run_detect`
+        checks it, and the change rule, before its first write."""
         if (self.input_path is None) == (self.case is None):
             raise ConfigError("exactly one of --input or --case is required")
         if self.input_path is not None and not Path(self.input_path).exists():
@@ -72,6 +77,13 @@ class RunConfig:
             raise ConfigError("--runs > 1 needs --case: a CSV holds one realization")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not self.b_step > 0:
+            raise ConfigError("b_step must be positive")
+        try:
+            self.grid()
+            Ar1Spec(b=self.noise_b)
+        except (ValueError, InvalidCoefficient) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def grid(self) -> SearchGrid:
         steps = int(round(DEFAULT_B_MAX / self.b_step)) + 1
@@ -99,23 +111,15 @@ def _atomic_write(path: Path, write_fn) -> None:
         raise
 
 
-def _write_rows(path: Path, header: list[str] | None, rows) -> None:
-    """Write `rows` as CSV under an optional header row, atomically."""
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    """Write `rows` as CSV under a header row, atomically."""
 
     def write(fh):
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(header)
+        writer.writerow(header)
         writer.writerows(rows)
 
     _atomic_write(path, write)
-
-
-def _window_eigenvalues(source: RawDataSource, wspec: WindowSpec):
-    """(end_index, *ascending eigenvalues of (1/T) X X') per window, p = 0."""
-    for end_index in range(wspec.T, source.t + 1, wspec.stride):
-        w = standardize(cut_window(source, wspec, end_index))
-        yield (end_index, *np.linalg.eigvalsh((w.values @ w.values.T) / wspec.T))
 
 
 def _write_curve(path: Path, grid: np.ndarray, rho: np.ndarray) -> None:
@@ -156,12 +160,11 @@ def run_detect(config: RunConfig) -> dict:
                 f"aspect ratio c = N / T = {source.n} / {config.window_length} must be "
                 f"below 1: use a window longer than {source.n} samples"
             )
-        wspec = WindowSpec(N=source.n, T=config.window_length, stride=config.stride)
+        try:
+            wspec = WindowSpec(N=source.n, T=config.window_length, stride=config.stride)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         tl = sweep(source, wspec, grid, cache=cache, keep_surface=config.dump_surface)
-        if config.dump_eigenvalues:
-            _write_rows(
-                out / f"eigenvalues_seed{seed}.csv", None, _window_eigenvalues(source, wspec)
-            )
         return tl, source.n
 
     started = time.perf_counter()
@@ -172,6 +175,11 @@ def run_detect(config: RunConfig) -> dict:
         runs = [one_run(s) for s in seeds]
     elapsed = time.perf_counter() - started
     timelines = [tl for tl, _ in runs]
+    avg = average_runs(timelines)
+    try:
+        annotations = detect_changes(avg, threshold=config.threshold, hold=config.hold)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     for k, tl in enumerate(timelines):
         _write_rows(
@@ -191,8 +199,6 @@ def run_detect(config: RunConfig) -> dict:
             )
     if config.dump_densities:
         _dump_model_densities(out, grid, runs[0][1] / config.window_length, cache)
-    avg = average_runs(timelines)
-    annotations = detect_changes(avg, threshold=config.threshold, hold=config.hold)
     _write_rows(
         out / "run_average.csv",
         ["end_index", "p_ave", "b_ave"],
@@ -223,8 +229,13 @@ def run_detect(config: RunConfig) -> dict:
 
 def run_spectrum(b: float, c: float, output: str, epsilon: float = 1e-3, points: int = 2000) -> None:
     """Write the (lambda, rho) model density curve as CSV."""
-    if c <= 0:
-        raise ConfigError(f"aspect ratio c={c} must be positive")
+    if points < 2:
+        raise ConfigError("points must be >= 2")
+    if not epsilon > 0:
+        raise ConfigError("epsilon must be positive")
+    if c >= 1:
+        # c >= 1 puts an atom at 0 that the model curve only partly captures
+        raise ConfigError(f"aspect ratio c = {c} must be below 1")
     try:
         params = NoiseModelParams(b=b, c=c)
     except ValueError as exc:
@@ -240,33 +251,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    det = sub.add_parser("detect", help="run the moving-window (p, b) estimator")
-    det.add_argument("--input", help="CSV source: one row per channel")
+    # An absent flag sets nothing, so the defaults are RunConfig's and
+    # run_spectrum's own.
+    det = sub.add_parser(
+        "detect", argument_default=argparse.SUPPRESS, help="run the moving-window (p, b) estimator"
+    )
+    det.add_argument("--input", dest="input_path", help="CSV source: one row per channel")
     det.add_argument("--case", choices=["case1", "case2", "case3"], help="built-in synthetic case")
     det.add_argument("--skip-header", action="store_true")
-    det.add_argument("--window-length", type=int, default=250)
-    det.add_argument("--stride", type=int, default=1)
-    det.add_argument("--p-max", type=int, default=10)
-    det.add_argument("--b-step", type=float, default=0.05)
-    det.add_argument("--bins", type=int, default=100)
-    det.add_argument("--epsilon", type=float, default=1e-3)
-    det.add_argument("--runs", type=int, default=1)
-    det.add_argument("--seed", type=int, default=0)
-    det.add_argument("--workers", type=int, default=1)
-    det.add_argument("--output-dir", default="out")
-    det.add_argument("--noise-b", type=float, default=0.5)
-    det.add_argument("--threshold", type=float, default=0.5)
-    det.add_argument("--hold", type=int, default=3)
-    det.add_argument("--dump-eigenvalues", action="store_true")
+    det.add_argument("--window-length", type=int)
+    det.add_argument("--stride", type=int)
+    det.add_argument("--p-max", type=int)
+    det.add_argument("--b-step", type=float)
+    det.add_argument("--bins", type=int)
+    det.add_argument("--epsilon", type=float)
+    det.add_argument("--runs", type=int)
+    det.add_argument("--seed", type=int)
+    det.add_argument("--workers", type=int)
+    det.add_argument("--output-dir")
+    det.add_argument("--noise-b", type=float)
+    det.add_argument("--threshold", type=float)
+    det.add_argument("--hold", type=int)
     det.add_argument("--dump-densities", action="store_true")
     det.add_argument("--dump-surface", action="store_true")
 
-    spec = sub.add_parser("spectrum", help="dump a model density curve as CSV")
+    spec = sub.add_parser(
+        "spectrum", argument_default=argparse.SUPPRESS, help="dump a model density curve as CSV"
+    )
     spec.add_argument("--b", type=float, required=True)
     spec.add_argument("--c", type=float, required=True)
     spec.add_argument("--output", required=True)
-    spec.add_argument("--epsilon", type=float, default=1e-3)
-    spec.add_argument("--points", type=int, default=2000)
+    spec.add_argument("--epsilon", type=float)
+    spec.add_argument("--points", type=int)
     return parser
 
 
@@ -275,33 +291,13 @@ def _error_record(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    options = vars(_build_parser().parse_args(argv))
+    command = options.pop("command")
     try:
-        if args.command == "detect":
-            config = RunConfig(
-                input_path=args.input,
-                case=args.case,
-                window_length=args.window_length,
-                stride=args.stride,
-                p_max=args.p_max,
-                b_step=args.b_step,
-                bins=args.bins,
-                epsilon=args.epsilon,
-                runs=args.runs,
-                seed=args.seed,
-                workers=args.workers,
-                output_dir=args.output_dir,
-                skip_header=args.skip_header,
-                noise_b=args.noise_b,
-                threshold=args.threshold,
-                hold=args.hold,
-                dump_eigenvalues=args.dump_eigenvalues,
-                dump_densities=args.dump_densities,
-                dump_surface=args.dump_surface,
-            )
-            run_detect(config)
+        if command == "detect":
+            run_detect(RunConfig(**options))
         else:
-            run_spectrum(args.b, args.c, args.output, args.epsilon, args.points)
+            run_spectrum(**options)
         return EXIT_OK
     except ConfigError as exc:
         print(_error_record(exc), file=sys.stderr)

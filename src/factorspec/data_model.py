@@ -78,11 +78,6 @@ class WindowSpec:
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 
-    @property
-    def c(self) -> float:
-        """Aspect ratio N/T."""
-        return self.N / self.T
-
 
 @dataclass(frozen=True)
 class RawWindow:

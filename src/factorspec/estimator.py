@@ -67,7 +67,6 @@ class ChangePoint:
 class Timeline:
     results: tuple[EstimationResult, ...]
     failures: tuple[tuple[int, str], ...] = ()
-    annotations: tuple[ChangePoint, ...] = ()
 
     @property
     def end_indices(self) -> tuple[int, ...]:

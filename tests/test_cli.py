@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
+import argparse
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -136,6 +138,35 @@ def test_default_grid_reaches_b_max():
     assert grid.b_values[-1] == 0.95
 
 
+def test_detect_options_are_runconfig_fields(monkeypatch):
+    """RunConfig states each `detect` option's name and default once: an
+    absent flag leaves RunConfig's default, and each field has one flag."""
+    seen = []
+    monkeypatch.setattr(cli, "run_detect", seen.append)
+    assert main(["detect", "--case", "case1"]) == EXIT_OK
+    assert seen.pop() == RunConfig(case="case1")
+
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in commands.choices["detect"]._actions if a.dest != "help"]
+    assert sorted(a.dest for a in actions) == sorted(f.name for f in dataclasses.fields(RunConfig))
+    for action in actions:
+        default = getattr(RunConfig(), action.dest)
+        if action.nargs == 0:  # a switch
+            value, argv = True, [action.option_strings[0]]
+        else:
+            if action.choices:
+                value = action.choices[-1]
+            elif action.type is None:
+                value = f"{action.dest}.x"
+            else:
+                value = default + action.type(1)
+            argv = [action.option_strings[0], str(value)]
+        assert value != default
+        assert main(["detect", *argv]) == EXIT_OK
+        assert seen.pop() == RunConfig(**{action.dest: value}), argv
+
+
 def test_detect_missing_input_is_config_error(tmp_path, capsys):
     code = main(["detect", "--input", str(tmp_path / "nope.csv")])
     assert code == EXIT_CONFIG
@@ -146,6 +177,27 @@ def test_detect_missing_input_is_config_error(tmp_path, capsys):
 def test_detect_requires_exactly_one_source(small_csv):
     assert main(["detect", "--input", str(small_csv), "--case", "case1"]) == EXIT_CONFIG
     assert main(["detect"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--stride", "0"],
+        ["--bins", "1"],
+        ["--epsilon", "0"],
+        ["--p-max", "-1"],
+        ["--b-step", "0"],
+        ["--b-step", "-0.1"],
+        ["--hold", "0"],
+        ["--threshold", "0"],
+        ["--noise-b", "1.0"],
+    ],
+    ids=" ".join,
+)
+def test_detect_rejects_out_of_range_options(flags, tmp_path, capsys):
+    assert run_case(tmp_path / "o", flags) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "o").exists()
 
 
 def test_detect_rejects_bad_counts(small_csv, tmp_path):
@@ -169,7 +221,19 @@ def test_spectrum_writes_curve(tmp_path):
     assert np.trapezoid(rho, lam) == pytest.approx(1.0, abs=0.02)
 
 
-def test_spectrum_rejects_bad_params(tmp_path):
-    out = str(tmp_path / "c.csv")
-    assert main(["spectrum", "--b", "0.99", "--c", "0.472", "--output", out]) == EXIT_CONFIG
-    assert main(["spectrum", "--b", "0.3", "--c", "-1", "--output", out]) == EXIT_CONFIG
+def test_spectrum_rejects_bad_params(tmp_path, capsys):
+    """c >= 1 is refused as `detect` refuses it: the curve misses part of
+    the atom at 0."""
+    out = tmp_path / "c.csv"
+    for bad in (
+        ["--b", "0.99"],
+        ["--c", "-1"],
+        ["--c", "1.5"],
+        ["--epsilon", "0"],
+        ["--epsilon", "-1"],
+        ["--points", "0"],
+    ):
+        args = ["spectrum", "--b", "0.3", "--c", "0.472", "--output", str(out), *bad]
+        assert main(args) == EXIT_CONFIG, bad
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()

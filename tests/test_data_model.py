@@ -25,10 +25,6 @@ def source():
     return RawDataSource(values=rng.normal(size=(6, 40)))
 
 
-def test_window_spec_aspect_ratio():
-    assert WindowSpec(N=118, T=250).c == pytest.approx(118 / 250)
-
-
 def test_window_spec_rejects_bad_geometry():
     with pytest.raises(ValueError):
         WindowSpec(N=1, T=250)

@@ -10,7 +10,6 @@ from factorspec import (
     NoiseModelParams,
     default_lambda_grid,
     model_density_curve,
-    select_physical_root,
 )
 from factorspec import model_spectrum
 from factorspec.model_spectrum import (
@@ -18,6 +17,7 @@ from factorspec.model_spectrum import (
     _solve_many,
     _sweep_curve,
     bin_curve,
+    select_physical_root,
     support_cap,
 )
 from factorspec.errors import NoPhysicalRoot
