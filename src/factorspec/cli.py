@@ -160,6 +160,11 @@ def run_detect(config: RunConfig) -> dict:
                 f"aspect ratio c = N / T = {source.n} / {config.window_length} must be "
                 f"below 1: use a window longer than {source.n} samples"
             )
+        rank = min(source.n, config.window_length)
+        if config.p_max > rank:
+            raise ConfigError(
+                f"p_max = {config.p_max} exceeds the window's rank min(N, T) = {rank}"
+            )
         try:
             wspec = WindowSpec(N=source.n, T=config.window_length, stride=config.stride)
         except ValueError as exc:

@@ -31,8 +31,8 @@ class ZeroHandlingPolicy:
 DEFAULT_POLICY = ZeroHandlingPolicy()
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.sum(p * np.log(p / q), axis=-1)
+def _sum_xlogx(x: np.ndarray) -> np.ndarray:
+    return np.sum(x * np.log(x), axis=-1)
 
 
 def js_divergence_masses(
@@ -43,9 +43,10 @@ def js_divergence_masses(
 
     Bins lie on the last axis; leading axes broadcast, so (P, 1, K) against
     (1, B, K) scores a whole (P, B) surface in one call. 1-d inputs return a
-    float."""
+    float. Smoothed masses are positive, so JS = (sum p log p + sum q log q) / 2
+    - sum m log m, and only the broadcast midpoint m needs a log over the
+    whole surface."""
     p = policy.smooth(p_masses)
     q = policy.smooth(q_masses)
-    m = policy.smooth(0.5 * (p + q))
-    d = 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
+    d = 0.5 * _sum_xlogx(p) + 0.5 * _sum_xlogx(q) - _sum_xlogx(0.5 * (p + q))
     return float(d) if d.ndim == 0 else d

@@ -33,21 +33,100 @@ class NoiseModelParams:
             raise ValueError(f"aspect ratio c={self.c} must be finite and positive")
 
 
-def _newton_refine(roots: np.ndarray, coeffs: np.ndarray, steps: int = 2) -> np.ndarray:
-    """Polish roots with a few Newton steps; coeffs indexed [..., degree desc]."""
-    c4, c3, c2, c1, c0 = (coeffs[..., k] for k in range(5))
-    m = roots
+def _per_root(coeffs: np.ndarray) -> np.ndarray:
+    """(5, 4n) coefficients lined up with the roots (n, 4) raveled: same-shape
+    operands keep numpy's per-call cost low when n is 1."""
+    return np.repeat(coeffs.T, 4, axis=1)
+
+
+def _newton_refine(m: np.ndarray, coeffs: np.ndarray, steps: int = 2) -> np.ndarray:
+    """Polish roots m (n, 4) with Newton steps on the quartic rows coeffs
+    (n, 5), highest degree first. A zero derivative makes the root
+    non-finite: call it under np.errstate."""
+    c4, c3, c2, c1, c0 = _per_root(coeffs)
+    d3, d2, d1 = 4.0 * c4, 3.0 * c3, 2.0 * c2
+    x = m.ravel()
     for _ in range(steps):
-        p = (((c4 * m + c3) * m + c2) * m + c1) * m + c0
-        dp = ((4.0 * c4 * m + 3.0 * c3) * m + 2.0 * c2) * m + c1
-        step = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
-        m = m - step
-    return m
+        p = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+        dp = ((d3 * x + d2) * x + d1) * x + c1
+        x = x - p / dp
+    return x.reshape(m.shape)
+
+
+def _is_root(m: np.ndarray, coeffs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """|P(m)| <= tol * sum_k |c_k| |m|^k for roots m (n, 4) of the quartic
+    rows coeffs (n, 5): m is an exact root of a quartic whose coefficients
+    differ from P's by a relative tol at most."""
+    c4, c3, c2, c1, c0 = _per_root(coeffs)
+    a4, a3, a2, a1, a0 = _per_root(np.abs(coeffs))
+    x = m.ravel()
+    r = np.abs(x)
+    value = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+    scale = (((a4 * r + a3) * r + a2) * r + a1) * r + a0
+    return (np.abs(value) <= tol * scale).reshape(m.shape)
+
+
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3.0 * np.arange(3))
+
+
+def _ferrari(coeffs: np.ndarray) -> np.ndarray:
+    """The four roots of each quartic row c4 m^4 + c3 m^3 + c2 m^2 + c1 m + c0
+    of an (n, 5) array by Ferrari's method, as an (n, 4) array."""
+    a3, a2, a1, a0 = (coeffs[:, 1:] / coeffs[:, :1]).T
+    # depressed quartic y^4 + p y^2 + q y + r in y = m + shift: its
+    # coefficients are the Taylor coefficients of the monic quartic at -shift
+    shift = 0.25 * a3
+    sq = shift * shift
+    p = a2 - 6.0 * sq
+    q = a1 - 2.0 * shift * (a2 - 4.0 * sq)
+    r = a0 - shift * (a1 - shift * (a2 - 3.0 * sq))
+    # A root s of the resolvent cubic s^3 + p s^2 + e s - q^2 / 8 splits the
+    # quartic into two quadratics. Cardano on t^3 + f t + g with s = t - p / 3,
+    # taking the larger of -g / 2 +- h so that nothing cancels.
+    pp = p * p
+    e = 0.25 * pp - r
+    f = e - pp / 3.0
+    g = p * (2.0 / 27.0 * pp - e / 3.0) - 0.125 * q * q
+    h = np.sqrt(0.25 * g * g + f * f * f / 27.0)
+    h = np.where((g.conjugate() * h).real > 0, -h, h)
+    u = (h - 0.5 * g) ** (1.0 / 3.0)
+    v = f / (-3.0 * u)  # u = 0 only where f = g = 0: a non-finite row
+    # the three resolvent roots; the one of largest modulus splits best
+    s = u[:, None] * _CUBE_ROOTS_OF_UNITY + v[:, None] * _CUBE_ROOTS_OF_UNITY.conj()
+    s -= (p / 3.0)[:, None]
+    s = s[np.arange(s.shape[0]), np.argmax(np.abs(s), axis=1)]
+    k = np.sqrt(2.0 * s)
+    qk = q / k  # k = 0 only where p = q = r = 0: a non-finite row
+    ps = p + s
+    # the quadratics y^2 -+ k y + p / 2 + s +- qk / 2
+    d1 = np.sqrt(-2.0 * (ps + qk))
+    d2 = np.sqrt(-2.0 * (ps - qk))
+    y = np.concatenate([k + d1, k - d1, d2 - k, -k - d2]).reshape(4, -1).T
+    return 0.5 * y - shift[:, None]
+
+
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of each (5,) coefficient row as companion-matrix eigenvalues,
+    polished by Newton."""
+    comp = np.zeros((coeffs.shape[0], 4, 4), dtype=complex)
+    comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    comp[:, 1, 0] = 1.0
+    comp[:, 2, 1] = 1.0
+    comp[:, 3, 2] = 1.0
+    raw = np.linalg.eigvals(comp)
+    polished = _newton_refine(raw, coeffs)
+    return np.where(np.isfinite(polished), polished, raw)
 
 
 def _solve_many(zs: np.ndarray, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """All four roots of the moment polynomial at each z, via batched companion
-    eigenvalues plus Newton polishing. Returns (roots[n,4], coeffs[n,5])."""
+    """All four roots of the moment polynomial at each z. Returns
+    (roots[n,4], coeffs[n,5]).
+
+    Ferrari's closed form, polished by three Newton steps. A row whose roots
+    fail `_is_root`, non-finite ones included, is solved from its companion
+    matrix instead: mostly far out on the bridge, where the depressing shift
+    cancels the small roots' digits. Every row is computed the same way whatever n is, so a single z
+    solved during a bisection gets the bits it gets in a batch."""
     zs = np.asarray(zs, dtype=complex)
     n = zs.size
     coeffs = np.empty((n, 5), dtype=complex)
@@ -60,14 +139,11 @@ def _solve_many(zs: np.ndarray, b: float, c: float) -> tuple[np.ndarray, np.ndar
     coeffs[:, 3] = -2.0 * a4
     coeffs[:, 4] = -a4
 
-    monic = coeffs[:, 1:] / coeffs[:, :1]
-    comp = np.zeros((n, 4, 4), dtype=complex)
-    comp[:, 0, :] = -monic
-    comp[:, 1, 0] = 1.0
-    comp[:, 2, 1] = 1.0
-    comp[:, 3, 2] = 1.0
-    roots = np.linalg.eigvals(comp)
-    roots = _newton_refine(roots, coeffs[:, None, :])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        roots = _newton_refine(_ferrari(coeffs), coeffs, steps=3)
+        failed = ~np.all(_is_root(roots, coeffs), axis=1)
+        if failed.any():
+            roots[failed] = _companion_roots(coeffs[failed])
     return roots, coeffs
 
 

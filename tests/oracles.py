@@ -79,18 +79,31 @@ def smooth_reference(v, eps: float = 1e-12) -> np.ndarray:
     return v
 
 
-def kl_reference(p, q, eps: float = 1e-12) -> float:
-    p = smooth_reference(p, eps)
-    q = smooth_reference(q, eps)
-    return float(np.sum(p * np.log(p / q)))
-
-
 def js_reference(p, q, eps: float = 1e-12) -> float:
     """JS against the midpoint of the smoothed inputs (natural log)."""
     p = smooth_reference(p, eps)
     q = smooth_reference(q, eps)
     m = 0.5 * (p + q)
     return float(0.5 * np.sum(p * np.log(p / m)) + 0.5 * np.sum(q * np.log(q / m)))
+
+
+def companion_roots(coeffs) -> np.ndarray:
+    """Reference roots of each quartic row (n, 5), highest degree first: the
+    eigenvalues of the monic companion matrix, then two Newton steps."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    n = coeffs.shape[0]
+    comp = np.zeros((n, 4, 4), dtype=complex)
+    comp[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+    comp[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    m = np.linalg.eigvals(comp)
+    for _ in range(2):
+        value = np.zeros_like(m)
+        slope = np.zeros_like(m)
+        for c in coeffs.T:  # Horner for P and P' together
+            slope = slope * m + value
+            value = value * m + c[:, None]
+        m = m - np.where(slope != 0, value / np.where(slope != 0, slope, 1.0), 0.0)
+    return m
 
 
 def continuity_walk(roots, zs, seed, advance, tol: float) -> np.ndarray:

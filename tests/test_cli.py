@@ -100,6 +100,17 @@ def test_detect_rejects_aspect_ratio_at_least_one(small_csv, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_detect_rejects_p_max_above_window_rank(small_csv, tmp_path, capsys, monkeypatch):
+    """A 20 x 30 window has rank at most 20, so p = 25 can be scored on no
+    window; the run is refused before the sweep rather than left empty."""
+    swept = []
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: swept.append(args))
+    assert run_detect(small_csv, tmp_path / "o", ["--p-max", "25"]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert swept == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_detect_dump_surface(small_csv, tmp_path):
     out = tmp_path / "out"
     assert run_detect(small_csv, out, ["--dump-surface"]) == EXIT_OK

@@ -47,13 +47,49 @@ def test_params_validation():
 
 
 def test_roots_satisfy_the_polynomial():
-    zs = np.array([0.5, 1.5, 3.0]) + 1e-3j
+    # grid points, then far-field points of the bridge down from |z| = 1e6
+    zs = np.concatenate([np.array([0.5, 1.5, 3.0]) + 1e-3j, np.array([50.0, 1e3, 1e5, 1e6]) + 0.05j])
     roots, coeffs = _solve_many(zs, 0.4, C)
-    assert roots.shape == (3, 4)
+    assert roots.shape == (7, 4)
     for z, r, c in zip(zs, roots, coeffs):
         scale = abs(c[0]) * np.maximum(1.0, np.abs(r)) ** 4
         assert np.all(np.abs(np.polyval(c, r)) / scale < 1e-8)
         assert np.all(np.isfinite(green(r, z)))
+
+
+PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
+
+
+def sweep_points(monkeypatch, params, epsilon):
+    """Every z that the support scan and the curve solve in one batch: the
+    far-field bridge, then the lambda grid."""
+    batches = []
+    real_solve = model_spectrum._solve_many
+
+    def recording(zs, b, c):
+        if np.size(zs) > 1:
+            batches.append(np.array(zs))
+        return real_solve(zs, b, c)
+
+    with monkeypatch.context() as m:
+        m.setattr(model_spectrum, "_solve_many", recording)
+        three_sweeps(params, epsilon)
+    return np.concatenate(batches)
+
+
+@pytest.mark.parametrize("c", [0.1, C, 0.9])
+def test_solver_matches_companion_reference(c, monkeypatch):
+    """Ferrari plus fallback gives the companion-matrix roots, root for
+    root, to 1e-10 relative, on the bridge and on the grids."""
+    for b, epsilon in itertools.product((0.0, 0.5, 0.9, 0.95), (1e-3, 1e-4)):
+        zs = sweep_points(monkeypatch, NoiseModelParams(b=b, c=c), epsilon)
+        assert 1e6 + 0.05j in zs
+        roots, coeffs = _solve_many(zs, b, c)
+        want = oracles.companion_roots(coeffs)
+        # the best pairing of the four roots, row by row
+        rel = np.abs(roots[:, PERMUTATIONS] - want[:, None, :]) / np.abs(want[:, None, :])
+        worst = rel.max(axis=2).min(axis=1)
+        assert worst.max() < 1e-10, (b, c, epsilon, zs[np.argmax(worst)])
 
 
 def test_physical_root_reduces_to_mp_green_at_b_zero():
