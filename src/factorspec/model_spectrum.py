@@ -125,8 +125,9 @@ def _solve_many(zs: np.ndarray, b: float, c: float) -> tuple[np.ndarray, np.ndar
     Ferrari's closed form, polished by three Newton steps. A row whose roots
     fail `_is_root`, non-finite ones included, is solved from its companion
     matrix instead: mostly far out on the bridge, where the depressing shift
-    cancels the small roots' digits. Every row is computed the same way whatever n is, so a single z
-    solved during a bisection gets the bits it gets in a batch."""
+    cancels the small roots' digits. Every row is computed the same way
+    whatever n is, so a single z solved during a bisection gets the bits it
+    gets in a batch."""
     zs = np.asarray(zs, dtype=complex)
     n = zs.size
     coeffs = np.empty((n, 5), dtype=complex)

@@ -48,7 +48,9 @@ def test_params_validation():
 
 def test_roots_satisfy_the_polynomial():
     # grid points, then far-field points of the bridge down from |z| = 1e6
-    zs = np.concatenate([np.array([0.5, 1.5, 3.0]) + 1e-3j, np.array([50.0, 1e3, 1e5, 1e6]) + 0.05j])
+    zs = np.concatenate(
+        [np.array([0.5, 1.5, 3.0]) + 1e-3j, np.array([50.0, 1e3, 1e5, 1e6]) + 0.05j]
+    )
     roots, coeffs = _solve_many(zs, 0.4, C)
     assert roots.shape == (7, 4)
     for z, r, c in zip(zs, roots, coeffs):
