@@ -19,6 +19,11 @@ from .errors import (
 
 
 def _frozen_array(values) -> np.ndarray:
+    """A read-only float64 array is kept as it is; anything else is copied
+    and frozen."""
+    frozen = isinstance(values, np.ndarray) and not values.flags.writeable
+    if frozen and values.dtype == np.float64:
+        return values
     arr = np.array(values, dtype=float, copy=True)
     arr.setflags(write=False)
     return arr
@@ -32,19 +37,6 @@ class RawDataSource:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_array(self.values))
-        self._check()
-
-    @classmethod
-    def _adopt(cls, values: np.ndarray) -> RawDataSource:
-        """A source over `values` itself rather than a copy, for a float64
-        array that no caller holds, such as the parse `load_csv` just made."""
-        values.setflags(write=False)
-        source = object.__new__(cls)
-        object.__setattr__(source, "values", values)
-        source._check()
-        return source
-
-    def _check(self) -> None:
         if self.values.ndim != 2:
             raise DimensionMismatch("source must be a 2-d matrix")
         n, t = self.values.shape
@@ -125,6 +117,7 @@ def standardize(window: RawWindow) -> StandardizedWindow:
     if low.size:
         raise DegenerateRow(int(low[0]))
     out = (x - x.mean(axis=1, keepdims=True)) / std[:, None]
+    out.setflags(write=False)
     return StandardizedWindow(values=out, end_index=window.end_index)
 
 
@@ -137,7 +130,8 @@ def load_csv(path, skip_header: bool = False) -> RawDataSource:
     values = _loadtxt(path, skip_header)
     if values is None:
         values = _parse_cells(path, skip_header)
-    return RawDataSource._adopt(values)
+    values.setflags(write=False)
+    return RawDataSource(values)
 
 
 _LOADTXT_LOCK = threading.Lock()  # keeps concurrent catch_warnings blocks nested

@@ -126,8 +126,7 @@ def _solve_many(zs: np.ndarray, b: float, c: float) -> tuple[np.ndarray, np.ndar
     fail `_is_root`, non-finite ones included, is solved from its companion
     matrix instead: mostly far out on the bridge, where the depressing shift
     cancels the small roots' digits. Every row is computed the same way
-    whatever n is, so a single z solved during a bisection gets the bits it
-    gets in a batch."""
+    whatever n is, so a z gets the same bits in any batch."""
     zs = np.asarray(zs, dtype=complex)
     n = zs.size
     coeffs = np.empty((n, 5), dtype=complex)
@@ -162,54 +161,29 @@ def select_physical_root(roots, z: complex, density_tol: float = 1e-8) -> comple
     return complex(roots[pick])
 
 
-def _pick_by_continuity(
-    roots: np.ndarray, z: complex, prev: complex, tol: float
-) -> tuple[complex, bool]:
-    """Nearest physical root to `prev`, plus an ambiguity flag set when the
-    runner-up is nearly as close (the step likely crossed a branch point)."""
-    g = (roots + 1.0) / z
-    rho = -g.imag / math.pi
-    cand = roots[rho >= -tol]
-    if cand.size == 0:
-        raise NoPhysicalRoot(f"no root yields a nonnegative density at z={z}")
-    dist = np.abs(cand - prev)
-    order = np.argsort(dist)
-    ambiguous = cand.size > 1 and dist[order[0]] > 0.5 * dist[order[1]]
-    return complex(cand[order[0]]), ambiguous
-
-
-def _advance_root(
-    prev: complex,
-    z0: complex,
-    z1: complex,
-    params: NoiseModelParams,
-    tol: float,
-    depth: int = 24,
-    roots_z1: np.ndarray | None = None,
-) -> complex:
-    """Continue the physical branch from z0 to z1, bisecting the segment
-    whenever the nearest-root choice is ambiguous. The final pick is taken
-    from `roots_z1` when the roots at z1 are already solved."""
-    if roots_z1 is None:
-        roots_z1 = _solve_many(np.array([z1]), params.b, params.c)[0][0]
-    pick, ambiguous = _pick_by_continuity(roots_z1, z1, prev, tol)
-    if not ambiguous or depth <= 0 or abs(z1 - z0) < 1e-12:
-        return pick
-    mid = 0.5 * (z0 + z1)
-    prev_mid = _advance_root(prev, z0, mid, params, tol, depth - 1)
-    return _advance_root(prev_mid, mid, z1, params, tol, depth - 1, roots_z1)
+_SPLIT = 8  # an ambiguous step is walked again over this many sub-steps
+_MAX_DEPTH = 8  # nested re-walks at most: 8^8 = 2^24 sub-steps to one step
 
 
 def _track_branch(
-    zs: np.ndarray, roots: np.ndarray, params: NoiseModelParams, tol: float
-) -> np.ndarray:
-    """The physical root at each z of a path, chosen by continuity.
+    zs: np.ndarray,
+    roots: np.ndarray,
+    j: int,
+    params: NoiseModelParams,
+    tol: float,
+    depth: int = _MAX_DEPTH,
+) -> list[int]:
+    """The index of the physical root at each z of a path, chosen by
+    continuity from root j at zs[0].
 
     One broadcast ranks, for every step and every root of the step before,
     the physical roots of the step by distance; ties go to the lowest index,
     and a runner-up nearly as close marks the step ambiguous (it likely
-    crossed a branch point). The walk then follows root indices through that
-    table and bisects only the ambiguous steps with `_advance_root`.
+    crossed a branch point). The walk follows root indices through that
+    table. An ambiguous step is walked again the same way as a sub-path of
+    `_SPLIT` equal sub-steps, whose interior roots are solved in one batch,
+    until `depth` runs out or the step is shorter than 1e-12; then the
+    nearest root is taken.
     """
     rho = -((roots + 1.0) / zs[:, None]).imag / math.pi
     physical = rho >= -tol
@@ -223,21 +197,19 @@ def _track_branch(
     ambiguous = (counts[1:, None] > 1) & (ranked[..., 0] > 0.5 * ranked[..., 1])
     nearest, ambiguous, counts = order[..., 0].tolist(), ambiguous.tolist(), counts.tolist()
 
-    seed = select_physical_root(roots[0], zs[0], density_tol=tol)
-    j = int(np.flatnonzero(roots[0] == seed)[0])
     picks = [j]
     for i in range(1, zs.size):
         if counts[i] == 0:
             raise NoPhysicalRoot(f"no root yields a nonnegative density at z={zs[i]}")
-        if ambiguous[i - 1][j]:
-            pick = _advance_root(
-                complex(roots[i - 1, j]), zs[i - 1], zs[i], params, tol, roots_z1=roots[i]
-            )
-            j = int(np.flatnonzero(roots[i] == pick)[0])
+        if ambiguous[i - 1][j] and depth > 0 and abs(zs[i] - zs[i - 1]) >= 1e-12:
+            sub = np.linspace(zs[i - 1], zs[i], _SPLIT + 1)
+            inner, _ = _solve_many(sub[1:-1], params.b, params.c)
+            sub_roots = np.concatenate([roots[i - 1 : i], inner, roots[i : i + 1]])
+            j = _track_branch(sub, sub_roots, j, params, tol, depth - 1)[-1]
         else:
             j = nearest[i - 1][j]
         picks.append(j)
-    return roots[np.arange(zs.size), picks]
+    return picks
 
 
 def _sweep_curve(
@@ -264,7 +236,10 @@ def _sweep_curve(
     bridge = np.concatenate([horizontal, vertical])
     zs = np.concatenate([bridge, grid[::-1] + 1j * epsilon])
     roots, _ = _solve_many(zs, params.b, params.c)
-    picked = _track_branch(zs, roots, params, clip_tol)
+    seed = select_physical_root(roots[0], zs[0], density_tol=clip_tol)
+    j = int(np.flatnonzero(roots[0] == seed)[0])
+    picks = _track_branch(zs, roots, j, params, clip_tol)
+    picked = roots[np.arange(zs.size), picks]
 
     g = (picked[len(bridge):] + 1.0) / zs[len(bridge):]
     rho = -g.imag / math.pi

@@ -106,26 +106,34 @@ def companion_roots(coeffs) -> np.ndarray:
     return m
 
 
-def continuity_walk(roots, zs, seed, advance, tol: float) -> np.ndarray:
+def continuity_walk(roots, zs, seed, solve, tol: float, depth: int = 24) -> np.ndarray:
     """Reference branch tracking, one grid point at a time.
 
     From `seed` at zs[0], each step takes the physical root (density
-    -Im((M + 1) / z) / pi >= -tol) nearest the previous pick; when the
-    runner-up is nearly as close, `advance(prev, z0, z1)` bisects the step
-    instead. `roots` holds the four roots at each z."""
-    picked = np.empty(zs.size, dtype=complex)
-    prev = picked[0] = seed
-    for i in range(1, zs.size):
-        rho = -((roots[i] + 1.0) / zs[i]).imag / np.pi
-        cand = roots[i][rho >= -tol]
-        assert cand.size > 0, f"no physical root at z={zs[i]}"
+    -Im((M + 1) / z) / pi >= -tol) nearest the previous pick. When the
+    runner-up is nearly as close, the step is bisected at its midpoint,
+    whose roots come from `solve(z)`, down to `depth` halvings or a step
+    shorter than 1e-12. `roots` holds the four roots at each z."""
+
+    def nearest(row, z, prev):
+        rho = -((row + 1.0) / z).imag / np.pi
+        cand = row[rho >= -tol]
+        assert cand.size > 0, f"no physical root at z={z}"
         dist = np.abs(cand - prev)
         order = np.argsort(dist)
-        if cand.size > 1 and dist[order[0]] > 0.5 * dist[order[1]]:
-            prev = advance(prev, zs[i - 1], zs[i])
-        else:
-            prev = complex(cand[order[0]])
-        picked[i] = prev
+        return complex(cand[order[0]]), cand.size > 1 and dist[order[0]] > 0.5 * dist[order[1]]
+
+    def advance(prev, z0, z1, row, depth):
+        pick, ambiguous = nearest(row, z1, prev)
+        if not ambiguous or depth <= 0 or abs(z1 - z0) < 1e-12:
+            return pick
+        mid = 0.5 * (z0 + z1)
+        return advance(advance(prev, z0, mid, solve(mid), depth - 1), mid, z1, row, depth - 1)
+
+    picked = np.empty(zs.size, dtype=complex)
+    picked[0] = seed
+    for i in range(1, zs.size):
+        picked[i] = advance(picked[i - 1], zs[i - 1], zs[i], roots[i], depth)
     return picked
 
 

@@ -180,10 +180,19 @@ def test_load_csv_empty_file_falls_back_without_warning(tmp_path, recwarn):
     assert not recwarn.list
 
 
-def test_raw_data_source_copies_its_input():
-    data = np.linspace(0.0, 1.0, 12).reshape(3, 4)
-    data.setflags(write=False)
-    assert not np.shares_memory(RawDataSource(values=data).values, data)
+def test_raw_data_source_adopts_only_a_read_only_float64_input():
+    """A writable input is copied, a read-only float64 one is shared, and a
+    read-only one of another dtype is copied; the source is read-only."""
+    writable = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    frozen = writable.copy()
+    frozen.setflags(write=False)
+    frozen32 = frozen.astype(np.float32)
+    frozen32.setflags(write=False)
+    for data, shared in ((writable, False), (frozen, True), (frozen32, False)):
+        values = RawDataSource(values=data).values
+        assert np.shares_memory(values, data) == shared
+        assert values.dtype == np.float64 and not values.flags.writeable
+        assert np.array_equal(values, data)
 
 
 def test_load_csv_keeps_the_parse_without_a_copy(tmp_path, monkeypatch):

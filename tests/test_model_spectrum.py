@@ -13,9 +13,9 @@ from factorspec import (
 )
 from factorspec import model_spectrum
 from factorspec.model_spectrum import (
-    _pick_by_continuity,
     _solve_many,
     _sweep_curve,
+    _track_branch,
     bin_curve,
     select_physical_root,
     support_cap,
@@ -63,14 +63,13 @@ PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
 
 
 def sweep_points(monkeypatch, params, epsilon):
-    """Every z that the support scan and the curve solve in one batch: the
-    far-field bridge, then the lambda grid."""
+    """Every z that the support scan and the curve solve: the far-field
+    bridge, the lambda grid and the interior of each re-walked step."""
     batches = []
     real_solve = model_spectrum._solve_many
 
     def recording(zs, b, c):
-        if np.size(zs) > 1:
-            batches.append(np.array(zs))
+        batches.append(np.array(zs))
         return real_solve(zs, b, c)
 
     with monkeypatch.context() as m:
@@ -82,7 +81,7 @@ def sweep_points(monkeypatch, params, epsilon):
 @pytest.mark.parametrize("c", [0.1, C, 0.9])
 def test_solver_matches_companion_reference(c, monkeypatch):
     """Ferrari plus fallback gives the companion-matrix roots, root for
-    root, to 1e-10 relative, on the bridge and on the grids."""
+    root, to 1e-10 relative, at every z that the sweeps solve."""
     for b, epsilon in itertools.product((0.0, 0.5, 0.9, 0.95), (1e-3, 1e-4)):
         zs = sweep_points(monkeypatch, NoiseModelParams(b=b, c=c), epsilon)
         assert 1e6 + 0.05j in zs
@@ -94,48 +93,52 @@ def test_solver_matches_companion_reference(c, monkeypatch):
         assert worst.max() < 1e-10, (b, c, epsilon, zs[np.argmax(worst)])
 
 
+def short_walk(zs, params, seed):
+    """`_track_branch` along zs from the root at zs[0] nearest `seed`:
+    the picked root at each z."""
+    zs = np.asarray(zs)
+    roots, _ = _solve_many(zs, params.b, params.c)
+    j = int(np.argmin(np.abs(roots[0] - seed)))
+    return roots[np.arange(zs.size), _track_branch(zs, roots, j, params, 1e-8)]
+
+
 def test_physical_root_reduces_to_mp_green_at_b_zero():
     """At b = 0 the model is a plain Wishart: the selected root must give the
     closed-form Marchenko-Pastur Stieltjes transform. Off-support points are
-    resolved by the large-|z| heuristic alone; interior points get a
-    continuity seed from a nearby point, as in the sweep."""
+    resolved by the large-|z| heuristic alone; interior points are walked to
+    from a continuity seed at a nearby point, as in the sweep."""
     for lam in (3.5, 6.0, 50.0):
         z = complex(lam, 1e-3)
         m = select_physical_root(roots_at(z, 0.0), z)
         assert green(m, z) == pytest.approx(oracles.mp_green(z, C), abs=1e-6)
+    params = NoiseModelParams(b=0.0, c=C)
     for lam in (0.3, 1.0, 2.0):
-        z = complex(lam, 1e-3)
-        seed = z * oracles.mp_green(complex(lam + 0.01, 1e-3), C) - 1.0
-        m, _ = _pick_by_continuity(roots_at(z, 0.0), z, seed, 1e-8)
+        z0, z = complex(lam + 0.01, 1e-3), complex(lam, 1e-3)
+        m = short_walk([z0, z], params, z0 * oracles.mp_green(z0, C) - 1.0)[-1]
         assert green(m, z) == pytest.approx(oracles.mp_green(z, C), abs=1e-4)
 
 
 def test_physical_root_continuity_tracking():
-    z1 = complex(1.0, 1e-3)
+    z1, z2 = complex(1.0, 1e-3), complex(1.01, 1e-3)
     m1 = select_physical_root(roots_at(z1, 0.3), z1)
-    z2 = complex(1.01, 1e-3)
-    m2, _ = _pick_by_continuity(roots_at(z2, 0.3), z2, m1, 1e-8)
-    assert abs(m2 - m1) < 0.1
+    picked = short_walk([z1, z2], NoiseModelParams(b=0.3, c=C), m1)
+    assert picked[0] == m1 and abs(picked[1] - m1) < 0.1
 
 
 def test_physical_root_rejects_all_negative_densities():
     with pytest.raises(NoPhysicalRoot):
         select_physical_root([1.0 + 5.0j], 1.0 + 1e-3j)
-    with pytest.raises(NoPhysicalRoot):
-        _pick_by_continuity(np.array([1.0 + 5.0j]), 1.0 + 1e-3j, 0j, 1e-8)
 
 
-def reference_track(zs, roots, params, tol):
-    """The per-point walk; each ambiguous step is bisected by `_advance_root`
-    from a fresh solve at the step's end."""
-    seed = select_physical_root(roots[0], zs[0], density_tol=tol)
-    return oracles.continuity_walk(
-        roots,
-        zs,
-        seed,
-        lambda prev, z0, z1: model_spectrum._advance_root(prev, z0, z1, params, tol),
-        tol,
-    )
+def reference_track(zs, roots, j, params, tol, depth=24):
+    """The per-point walk with its own bisection, from root j at zs[0]:
+    the picked root indices."""
+
+    def solve(z):
+        return _solve_many(np.array([z]), params.b, params.c)[0][0]
+
+    picked = oracles.continuity_walk(roots, zs, roots[0, j], solve, tol, depth)
+    return [int(np.flatnonzero(row == m)[0]) for row, m in zip(roots, picked)]
 
 
 def three_sweeps(params, epsilon):
@@ -151,28 +154,52 @@ def three_sweeps(params, epsilon):
 
 def test_table_walk_matches_reference_walk(monkeypatch):
     """The nearest-root table picks the reference walk's roots bit for bit,
-    across the b range, three aspect ratios, two offsets and both grids."""
-    bisections = 0
-    real_advance = model_spectrum._advance_root
+    across the b range, three aspect ratios, two offsets and both grids, and
+    solves no z on its own."""
+    sizes = []
+    real_solve = model_spectrum._solve_many
 
-    def counting(*args, **kwargs):
-        nonlocal bisections
-        bisections += 1
-        return real_advance(*args, **kwargs)
+    def recording(zs, b, c):
+        sizes.append(np.size(zs))
+        return real_solve(zs, b, c)
 
     for b, c, epsilon in itertools.product(
         (0.0, 0.3, 0.5, 0.7, 0.9, 0.95), (0.1, C, 20 / 30), (1e-3, 1e-4)
     ):
         params = NoiseModelParams(b=b, c=c)
         with monkeypatch.context() as m:
-            m.setattr(model_spectrum, "_advance_root", counting)
+            m.setattr(model_spectrum, "_solve_many", recording)
             got = three_sweeps(params, epsilon)
+        assert min(sizes) > 1, (b, c, epsilon)
         with monkeypatch.context() as m:
             m.setattr(model_spectrum, "_track_branch", reference_track)
             want = three_sweeps(params, epsilon)
         for g, w in zip(got, want):
             assert np.array_equal(g, w), (b, c, epsilon)
-    assert bisections > 0
+    assert sizes.count(model_spectrum._SPLIT - 1) > 0  # some steps were walked again
+
+
+def test_rewalk_matches_reference_walk_across_branch_points(monkeypatch):
+    """On grids so coarse that steps cross branch points, where the nearest
+    root alone often picks another branch, the re-walked sub-paths give the
+    reference bisection's curve bit for bit."""
+
+    def curve(track, grid, params):
+        with monkeypatch.context() as m:
+            m.setattr(model_spectrum, "_track_branch", track)
+            return _sweep_curve(grid, params, 1e-4)
+
+    def nearest_only(*args):
+        return reference_track(*args, depth=0)
+
+    moved = 0
+    for b, c, n in itertools.product((0.0, 0.5, 0.7), (0.1, C), (5, 10, 20)):
+        params = NoiseModelParams(b=b, c=c)
+        grid = np.linspace(0.0, support_cap(params), n)
+        got = _sweep_curve(grid, params, 1e-4)
+        assert np.array_equal(got, curve(reference_track, grid, params)), (b, c, n)
+        moved += not np.array_equal(got, curve(nearest_only, grid, params))
+    assert moved > 0
 
 
 def test_walk_raises_when_a_step_has_no_physical_root(monkeypatch):
@@ -180,7 +207,7 @@ def test_walk_raises_when_a_step_has_no_physical_root(monkeypatch):
 
     def one_bad_step(zs, b, c):
         roots, coeffs = real_solve(zs, b, c)
-        if roots.shape[0] > 1:
+        if roots.shape[0] > 100:  # the curve's path, not a re-walked step
             k = roots.shape[0] - 100
             roots[k] = 10j * zs[k] - 1.0  # G = (M + 1) / z = 10i: density -10 / pi
         return roots, coeffs

@@ -1,5 +1,6 @@
 """The package's public surface."""
 import argparse
+import ast
 import re
 import runpy
 from pathlib import Path
@@ -10,6 +11,7 @@ import factorspec
 from factorspec import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(factorspec.__file__).resolve().parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -43,3 +45,40 @@ def test_readme_cli_flags_exist():
             unknown.append((command, m[2]))
     assert command is not None
     assert unknown == []
+
+
+class _References(ast.NodeVisitor):
+    """Private function and method definitions in a module, and the names
+    and attributes referenced outside the body of the function they name."""
+
+    def __init__(self):
+        self.defined, self.used, self.enclosing = set(), set(), []
+
+    def visit_FunctionDef(self, node):
+        if node.name.startswith("_") and not node.name.startswith("__"):
+            self.defined.add(node.name)
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+    def _use(self, name):
+        if name not in self.enclosing:
+            self.used.add(name)
+
+
+def test_no_private_helper_is_dead():
+    """Every private function or method of the package is referenced in the
+    package, other than from its own body: tests alone do not keep one."""
+    refs = _References()
+    for path in sorted(PACKAGE.glob("*.py")):
+        refs.visit(ast.parse(path.read_text(), filename=str(path)))
+    assert sorted(refs.defined - refs.used) == []
