@@ -28,7 +28,7 @@ from .datagen import (
     planted_factor_matrix,
     synthesize_case,
 )
-from .divergence import ZeroHandlingPolicy, js_divergence_masses
+from .divergence import js_divergence_masses
 from .empirical_spectrum import density_from_eigenvalues
 from .estimator import (
     ChangePoint,
@@ -64,7 +64,6 @@ __all__ = [
     "StandardizedWindow",
     "Timeline",
     "WindowSpec",
-    "ZeroHandlingPolicy",
     "average_runs",
     "brute_force_spectrum",
     "case_schedule",

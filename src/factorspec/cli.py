@@ -8,8 +8,7 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,6 @@ from .errors import ConfigError, FactorSpecError, InvalidCoefficient
 from .estimator import (
     ModelDensityCache,
     SearchGrid,
-    Timeline,
     average_runs,
     detect_changes,
     sweep,
@@ -42,7 +40,10 @@ EXIT_PIPELINE = 4
 @dataclass
 class RunConfig:
     """Every `detect` option: each field is the flag of the same name
-    (`input_path` is `--input`), and its default here is the flag's."""
+    (`input_path` is `--input`), and its default here is the flag's.
+
+    `workers` is no option: `detect` runs on one thread, and the argument
+    is accepted, as 1 only, for callers that still pass it."""
 
     input_path: str | None = None
     case: str | None = None
@@ -54,7 +55,6 @@ class RunConfig:
     epsilon: float = 1e-3
     runs: int = 1
     seed: int = 0
-    workers: int = 1
     output_dir: str = "out"
     skip_header: bool = False
     noise_b: float = 0.5
@@ -62,6 +62,11 @@ class RunConfig:
     hold: int = 3
     dump_densities: bool = False
     dump_surface: bool = False
+    workers: InitVar[int] = 1
+
+    def __post_init__(self, workers: int) -> None:
+        if workers != 1:
+            raise ConfigError("detect runs on one thread: workers must be 1")
 
     def validate(self) -> None:
         """Raise ConfigError for a missing source or an out-of-range option.
@@ -75,8 +80,6 @@ class RunConfig:
             raise ConfigError("runs must be >= 1")
         if self.input_path is not None and self.runs > 1:
             raise ConfigError("--runs > 1 needs --case: a CSV holds one realization")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not self.b_step > 0:
             raise ConfigError("b_step must be positive")
         try:
@@ -152,7 +155,9 @@ def run_detect(config: RunConfig) -> dict:
     cache = ModelDensityCache()
     seeds = [config.seed + k for k in range(config.runs)]
 
-    def one_run(seed: int) -> tuple[Timeline, int]:
+    started = time.perf_counter()
+    timelines = []
+    for seed in seeds:
         source = _source_for_run(config, seed)
         if source.n >= config.window_length:
             # c >= 1 puts an atom at 0 that the model curve only partly captures
@@ -169,17 +174,10 @@ def run_detect(config: RunConfig) -> dict:
             wspec = WindowSpec(N=source.n, T=config.window_length, stride=config.stride)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        tl = sweep(source, wspec, grid, cache=cache, keep_surface=config.dump_surface)
-        return tl, source.n
-
-    started = time.perf_counter()
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            runs = list(pool.map(one_run, seeds))
-    else:
-        runs = [one_run(s) for s in seeds]
+        timelines.append(
+            sweep(source, wspec, grid, cache=cache, keep_surface=config.dump_surface)
+        )
     elapsed = time.perf_counter() - started
-    timelines = [tl for tl, _ in runs]
     avg = average_runs(timelines)
     try:
         annotations = detect_changes(avg, threshold=config.threshold, hold=config.hold)
@@ -203,7 +201,8 @@ def run_detect(config: RunConfig) -> dict:
                 ),
             )
     if config.dump_densities:
-        _dump_model_densities(out, grid, runs[0][1] / config.window_length, cache)
+        # every run's source has the same row count N
+        _dump_model_densities(out, grid, source.n / config.window_length, cache)
     _write_rows(
         out / "run_average.csv",
         ["end_index", "p_ave", "b_ave"],
@@ -272,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     det.add_argument("--epsilon", type=float)
     det.add_argument("--runs", type=int)
     det.add_argument("--seed", type=int)
-    det.add_argument("--workers", type=int)
     det.add_argument("--output-dir")
     det.add_argument("--noise-b", type=float)
     det.add_argument("--threshold", type=float)

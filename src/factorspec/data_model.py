@@ -4,7 +4,6 @@ from __future__ import annotations
 import csv
 import itertools
 import mmap
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -126,7 +125,8 @@ def load_csv(path, skip_header: bool = False) -> RawDataSource:
 
     `np.loadtxt` parses a clean file; any file it rejects, warns about, or
     reads as empty or non-finite goes through the cell-by-cell parser,
-    which locates the offending cell in its CsvParseError."""
+    which locates the offending cell in its CsvParseError. Not thread-safe:
+    the fast parse records warnings through the process-wide filters."""
     values = _loadtxt(path, skip_header)
     if values is None:
         values = _parse_cells(path, skip_header)
@@ -134,7 +134,6 @@ def load_csv(path, skip_header: bool = False) -> RawDataSource:
     return RawDataSource(values)
 
 
-_LOADTXT_LOCK = threading.Lock()  # keeps concurrent catch_warnings blocks nested
 _BLOCK_CHARS = 1 << 20  # text handed to one np.loadtxt call
 
 
@@ -149,7 +148,7 @@ def _loadtxt(path, skip_header: bool) -> np.ndarray | None:
     can differ by a whole record from one run to the next. The map's pages
     go back to the system as soon as the source is dropped."""
     out, rows, block = None, 0, 1
-    with _LOADTXT_LOCK, warnings.catch_warnings(record=True) as caught, open(path) as fh:
+    with warnings.catch_warnings(record=True) as caught, open(path) as fh:
         warnings.simplefilter("always")
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # blank lines
         try:

@@ -153,9 +153,8 @@ def synthesize_case(
 
     for i, e in enumerate(schedule.events):
         off = t if e.offset is None else e.offset
-        signal = np.zeros(t)
-        signal[e.onset - 1 : off] = step_height
-        values += np.outer(loadings[i], signal)
+        values[:, e.onset - 1 : off] += loadings[i][:, None] * step_height
+    values.setflags(write=False)  # the source adopts a read-only record without a copy
     return RawDataSource(values=values)
 
 

@@ -1,43 +1,28 @@
 """Zero-safe Jensen-Shannon divergence on binned mass arrays."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ZeroHandlingPolicy:
-    """Substitute `epsilon` for zero bins and rescale the rest by
-    alpha = 1 - num_zeros * epsilon so the density still sums to 1."""
-
-    epsilon: float = 1e-12
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must be a small positive mass")
-
-    def smooth(self, masses: np.ndarray) -> np.ndarray:
-        """Smooth each density along the last axis; leading axes index a
-        stack of densities, each rescaled by its own alpha."""
-        masses = np.asarray(masses, dtype=float)
-        zero = masses <= 0.0
-        alpha = 1.0 - np.count_nonzero(zero, axis=-1, keepdims=True) * self.epsilon
-        if np.any(alpha <= 0.0):
-            raise ValueError("epsilon too large for the number of zero bins")
-        return np.where(zero, self.epsilon, alpha * masses)
+ZERO_MASS = 1e-12  # mass given to an empty bin before the log
 
 
-DEFAULT_POLICY = ZeroHandlingPolicy()
+def _smooth(masses: np.ndarray) -> np.ndarray:
+    """Substitute ZERO_MASS for zero bins and rescale the rest by
+    alpha = 1 - num_zeros * ZERO_MASS so each density still sums to 1.
+
+    Bins lie on the last axis; leading axes index a stack of densities,
+    each rescaled by its own alpha."""
+    masses = np.asarray(masses, dtype=float)
+    zero = masses <= 0.0
+    alpha = 1.0 - np.count_nonzero(zero, axis=-1, keepdims=True) * ZERO_MASS
+    return np.where(zero, ZERO_MASS, alpha * masses)
 
 
 def _sum_xlogx(x: np.ndarray) -> np.ndarray:
     return np.sum(x * np.log(x), axis=-1)
 
 
-def js_divergence_masses(
-    p_masses: np.ndarray, q_masses: np.ndarray, policy: ZeroHandlingPolicy = DEFAULT_POLICY
-) -> float | np.ndarray:
+def js_divergence_masses(p_masses: np.ndarray, q_masses: np.ndarray) -> float | np.ndarray:
     """Jensen-Shannon divergence against the midpoint mixture (natural log)
     of mass arrays on a shared grid, zero bins smoothed on both sides.
 
@@ -46,7 +31,7 @@ def js_divergence_masses(
     float. Smoothed masses are positive, so JS = (sum p log p + sum q log q) / 2
     - sum m log m, and only the broadcast midpoint m needs a log over the
     whole surface."""
-    p = policy.smooth(p_masses)
-    q = policy.smooth(q_masses)
+    p = _smooth(p_masses)
+    q = _smooth(q_masses)
     d = 0.5 * _sum_xlogx(p) + 0.5 * _sum_xlogx(q) - _sum_xlogx(0.5 * (p + q))
     return float(d) if d.ndim == 0 else d

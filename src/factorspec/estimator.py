@@ -3,7 +3,6 @@ run averaging, and change-point flagging."""
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,42 +87,37 @@ class ModelDensityCache:
     support grid (`default_lambda_grid`) and kept. Binned masses are
     memoized per (b, c, epsilon, bins, edge span); edges past the support
     get no mass, and mass past the last edge folds into the last bin.
-    A curve that fails to build is not cached. Thread-safe; computation is
-    idempotent so racing threads at worst duplicate work.
+    A curve that fails to build is not cached. Not thread-safe: share one
+    cache only within a thread.
     """
 
     def __init__(self):
         self._store: dict[tuple, np.ndarray] = {}
         self._curves: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._lock = threading.Lock()
 
     def curve(self, b: float, c: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
         """(lambda grid, density) of the model at (b, c, epsilon)."""
         key = (round(b, 10), round(c, 12), epsilon)
-        with self._lock:
-            hit = self._curves.get(key)
+        hit = self._curves.get(key)
         if hit is not None:
             return hit
         params = NoiseModelParams(b=b, c=c)
         grid = default_lambda_grid(params, epsilon)
         curve = (grid, model_density_curve(params, grid, epsilon))
-        with self._lock:
-            self._curves[key] = curve
+        self._curves[key] = curve
         return curve
 
     def masses(
         self, b: float, c: float, epsilon: float, bin_edges: np.ndarray
     ) -> np.ndarray:
         key = (round(b, 10), round(c, 12), epsilon, len(bin_edges), float(bin_edges[-1]))
-        with self._lock:
-            hit = self._store.get(key)
+        hit = self._store.get(key)
         if hit is not None:
             return hit
         masses = bin_curve(*self.curve(b, c, epsilon), bin_edges)
         masses = np.clip(masses, 0.0, None)
         masses = masses / masses.sum()
-        with self._lock:
-            self._store[key] = masses
+        self._store[key] = masses
         return masses
 
 

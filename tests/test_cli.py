@@ -10,6 +10,7 @@ import pytest
 from factorspec import Ar1Spec, SearchGrid, generate_ar1
 from factorspec import cli
 from factorspec.cli import EXIT_CONFIG, EXIT_OK, RunConfig, main
+from factorspec.errors import ConfigError
 
 DETECT_FLAGS = [
     "--window-length", "30",
@@ -75,13 +76,6 @@ def test_detect_seed_reproducibility(tmp_path):
     assert run_case(a, ["--runs", "2", "--seed", "5"]) == EXIT_OK
     assert run_case(b, ["--runs", "2", "--seed", "5"]) == EXIT_OK
     assert (a / "run_average.csv").read_bytes() == (b / "run_average.csv").read_bytes()
-
-
-def test_detect_workers_match_serial(tmp_path):
-    ser, par = tmp_path / "ser", tmp_path / "par"
-    assert run_case(ser, ["--runs", "2"]) == EXIT_OK
-    assert run_case(par, ["--runs", "2", "--workers", "2"]) == EXIT_OK
-    assert (ser / "run_average.csv").read_bytes() == (par / "run_average.csv").read_bytes()
 
 
 def test_detect_rejects_runs_with_input(small_csv, tmp_path, capsys):
@@ -178,6 +172,21 @@ def test_detect_options_are_runconfig_fields(monkeypatch):
         assert seen.pop() == RunConfig(**{action.dest: value}), argv
 
 
+def test_runconfig_takes_workers_as_one_only():
+    """`detect` runs on one thread: workers=1 is accepted and stored nowhere,
+    any other count is refused."""
+    assert RunConfig(case="case1", workers=1) == RunConfig(case="case1")
+    with pytest.raises(ConfigError):
+        RunConfig(case="case1", workers=2)
+
+
+def test_detect_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["detect", "--case", "case1", "--workers", "2"])
+    assert exc.value.code == 2  # argparse's usage error
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 def test_detect_missing_input_is_config_error(tmp_path, capsys):
     code = main(["detect", "--input", str(tmp_path / "nope.csv")])
     assert code == EXIT_CONFIG
@@ -213,7 +222,6 @@ def test_detect_rejects_out_of_range_options(flags, tmp_path, capsys):
 
 def test_detect_rejects_bad_counts(small_csv, tmp_path):
     assert run_detect(small_csv, tmp_path / "o", ["--runs", "0"]) == EXIT_CONFIG
-    assert run_detect(small_csv, tmp_path / "o", ["--workers", "0"]) == EXIT_CONFIG
 
 
 def test_spectrum_writes_curve(tmp_path):

@@ -7,6 +7,7 @@ from factorspec import (
     Event,
     EventSchedule,
     PlantedFactorSpec,
+    RawDataSource,
     brute_force_spectrum,
     case_schedule,
     density_from_eigenvalues,
@@ -14,6 +15,7 @@ from factorspec import (
     planted_factor_matrix,
     synthesize_case,
 )
+from factorspec import datagen
 from factorspec.errors import InvalidCoefficient, ScheduleOutOfRange
 
 import oracles
@@ -89,6 +91,26 @@ def test_synthesize_case_factor_mode_spreads_event():
     touched = np.count_nonzero(np.abs(diff).max(axis=1) > 1e-9)
     assert touched > 10  # loading vector hits many channels
     assert np.allclose(diff[:, :49], 0.0)  # nothing before onset
+
+
+def test_synthesize_case_source_adopts_the_record(monkeypatch):
+    """The record is frozen before the source is built, so the source keeps
+    it rather than copying a whole N x t array."""
+    handed = []
+
+    def spy(values):
+        handed.append(values)
+        return RawDataSource(values=values)
+
+    monkeypatch.setattr(datagen, "RawDataSource", spy)
+    src = synthesize_case(
+        EventSchedule((Event(onset=50, offset=None),)),
+        Ar1Spec(b=0.5, seed=12),
+        PlantedFactorSpec(k=1),
+        N=30,
+        t=100,
+    )
+    assert src.values is handed[0] and not src.values.flags.writeable
 
 
 def test_planted_factors_separate_from_bulk():

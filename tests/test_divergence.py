@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from factorspec import ZeroHandlingPolicy, js_divergence_masses
+from factorspec import js_divergence_masses
+from factorspec.divergence import ZERO_MASS, _smooth
 
 
 def masses_strategy(k=12):
@@ -63,39 +64,20 @@ def test_spike_sensitivity():
 
 
 def test_policy_smoothing_preserves_total_mass():
-    policy = ZeroHandlingPolicy(epsilon=1e-6)
     masses = np.array([0.7, 0.3, 0.0, 0.0])
-    smoothed = policy.smooth(masses)
+    smoothed = _smooth(masses)
     assert smoothed.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(smoothed > 0)
-
-
-def test_policy_rejects_bad_epsilon():
-    with pytest.raises(ValueError):
-        ZeroHandlingPolicy(epsilon=0.0)
-    with pytest.raises(ValueError):
-        ZeroHandlingPolicy(epsilon=1.5)
+    assert np.array_equal(smoothed[2:], [ZERO_MASS, ZERO_MASS])
 
 
 def test_smooth_on_a_stack_equals_smooth_per_row():
-    policy = ZeroHandlingPolicy(epsilon=1e-6)
     stack = np.array(
         [[0.7, 0.3, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.0, 1.0, 0.0, 0.0]]
     )
-    smoothed = policy.smooth(stack[None, :, :])
+    smoothed = _smooth(stack[None, :, :])
     for row, want in zip(smoothed[0], stack):
-        assert np.array_equal(row, policy.smooth(want))
-
-
-def test_smooth_rejects_stack_with_one_sparse_row():
-    policy = ZeroHandlingPolicy(epsilon=0.3)
-    ok = np.array([0.5, 0.5, 0.0, 0.0, 0.0])  # alpha = 0.1
-    sparse = np.array([1.0, 0.0, 0.0, 0.0, 0.0])  # alpha = -0.2
-    policy.smooth(ok)
-    with pytest.raises(ValueError):
-        policy.smooth(np.stack([ok, sparse]))
-    with pytest.raises(ValueError):
-        js_divergence_masses(np.stack([ok, ok])[:, None, :], sparse[None, None, :], policy)
+        assert np.array_equal(row, _smooth(want))
 
 
 def test_broadcast_surface_equals_scalar_calls():
