@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_PIPELINE = 4
+CURVE_POINTS = 2000  # points of a written model density curve
 
 
 @dataclass
@@ -125,16 +126,18 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
     _atomic_write(path, write)
 
 
-def _write_curve(path: Path, grid: np.ndarray, rho: np.ndarray) -> None:
-    _write_rows(path, ["lambda", "rho"], zip(grid, rho))
+def _write_curve(path: Path, params: NoiseModelParams, epsilon: float, points: int) -> None:
+    """The model density at width epsilon, at `points` even steps from 0 to
+    5% past the support's upper edge."""
+    grid = np.linspace(0.0, 1.05 * default_lambda_grid(params, 2)[-1], points)
+    _write_rows(path, ["lambda", "rho"], zip(grid, model_density_curve(params, grid, epsilon)))
 
 
-def _dump_model_densities(
-    out: Path, grid: SearchGrid, c: float, cache: ModelDensityCache
-) -> None:
-    """One (lambda, rho) curve per b value, the ones the run's estimates used."""
+def _dump_model_densities(out: Path, grid: SearchGrid, c: float) -> None:
+    """One (lambda, rho) curve per b value, as `spectrum` writes it."""
     for b in grid.b_values:
-        _write_curve(out / f"model_density_b{b:.2f}.csv", *cache.curve(b, c, grid.epsilon))
+        params = NoiseModelParams(b=b, c=c)
+        _write_curve(out / f"model_density_b{b:.2f}.csv", params, grid.epsilon, CURVE_POINTS)
 
 
 def _source_for_run(config: RunConfig, seed: int) -> RawDataSource:
@@ -160,7 +163,7 @@ def run_detect(config: RunConfig) -> dict:
     for seed in seeds:
         source = _source_for_run(config, seed)
         if source.n >= config.window_length:
-            # c >= 1 puts an atom at 0 that the model curve only partly captures
+            # c >= 1 puts an atom of mass 1 - 1/c at 0, which the model leaves out
             raise ConfigError(
                 f"aspect ratio c = N / T = {source.n} / {config.window_length} must be "
                 f"below 1: use a window longer than {source.n} samples"
@@ -202,7 +205,7 @@ def run_detect(config: RunConfig) -> dict:
             )
     if config.dump_densities:
         # every run's source has the same row count N
-        _dump_model_densities(out, grid, source.n / config.window_length, cache)
+        _dump_model_densities(out, grid, source.n / config.window_length)
     _write_rows(
         out / "run_average.csv",
         ["end_index", "p_ave", "b_ave"],
@@ -231,21 +234,22 @@ def run_detect(config: RunConfig) -> dict:
     return report
 
 
-def run_spectrum(b: float, c: float, output: str, epsilon: float = 1e-3, points: int = 2000) -> None:
+def run_spectrum(
+    b: float, c: float, output: str, epsilon: float = 1e-3, points: int = CURVE_POINTS
+) -> None:
     """Write the (lambda, rho) model density curve as CSV."""
     if points < 2:
         raise ConfigError("points must be >= 2")
     if not epsilon > 0:
         raise ConfigError("epsilon must be positive")
     if c >= 1:
-        # c >= 1 puts an atom at 0 that the model curve only partly captures
+        # c >= 1 puts an atom of mass 1 - 1/c at 0, which the model leaves out
         raise ConfigError(f"aspect ratio c = {c} must be below 1")
     try:
         params = NoiseModelParams(b=b, c=c)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    grid = default_lambda_grid(params, epsilon, n_points=points)
-    _write_curve(Path(output), grid, model_density_curve(params, grid, epsilon))
+    _write_curve(Path(output), params, epsilon, points)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -34,8 +34,9 @@ class EmptyBins(FactorSpecError):
     pass
 
 
-class NoPhysicalRoot(FactorSpecError):
-    pass
+class ModelDensityError(FactorSpecError):
+    """The model density at (b, c) could not be built: its support is not
+    one interval, or its mass is not 1."""
 
 
 class InvalidCoefficient(FactorSpecError):

@@ -16,6 +16,7 @@ from .errors import (
     GridExhausted,
     IndexMismatch,
     InvalidFactorCount,
+    ModelDensityError,
 )
 from .model_spectrum import (
     DEFAULT_B_MAX,
@@ -81,31 +82,37 @@ class RunAverage:
 
 
 class ModelDensityCache:
-    """Model density curves keyed by (b, c, epsilon), binned per edge set.
+    """Model densities keyed by (b, c), binned per edge set.
 
-    The curve depends only on (b, c, epsilon), so each is built once on its
-    support grid (`default_lambda_grid`) and kept. Binned masses are
-    memoized per (b, c, epsilon, bins, edge span); edges past the support
-    get no mass, and mass past the last edge folds into the last bin.
-    A curve that fails to build is not cached. Not thread-safe: share one
-    cache only within a thread.
+    The exact density depends only on (b, c), so each is built once on its
+    cosine nodes over the support (`default_lambda_grid`,
+    `model_density_curve`) and kept. A density whose trapezoid mass on its
+    nodes is not within 1e-6 of 1 raises `ModelDensityError`, and a density
+    that fails to build is not cached. Binning applies epsilon as Cauchy
+    smoothing (`bin_curve`): no mass lies below 0, and mass past the last
+    edge folds into the last bin. Binned masses are memoized per (b, c,
+    epsilon, bins, edge span). Not thread-safe: share one cache only within
+    a thread.
     """
 
     def __init__(self):
         self._store: dict[tuple, np.ndarray] = {}
         self._curves: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def curve(self, b: float, c: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-        """(lambda grid, density) of the model at (b, c, epsilon)."""
-        key = (round(b, 10), round(c, 12), epsilon)
+    def curve(self, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+        """(nodes, exact density) of the model at (b, c)."""
+        key = (round(b, 10), round(c, 12))
         hit = self._curves.get(key)
         if hit is not None:
             return hit
         params = NoiseModelParams(b=b, c=c)
-        grid = default_lambda_grid(params, epsilon)
-        curve = (grid, model_density_curve(params, grid, epsilon))
-        self._curves[key] = curve
-        return curve
+        nodes = default_lambda_grid(params)
+        rho = model_density_curve(params, nodes)
+        mass = float(np.trapezoid(rho, nodes))
+        if abs(mass - 1.0) > 1e-6:
+            raise ModelDensityError(f"model density at b={b}, c={c} has mass {mass}, not 1")
+        self._curves[key] = (nodes, rho)
+        return nodes, rho
 
     def masses(
         self, b: float, c: float, epsilon: float, bin_edges: np.ndarray
@@ -114,9 +121,7 @@ class ModelDensityCache:
         hit = self._store.get(key)
         if hit is not None:
             return hit
-        masses = bin_curve(*self.curve(b, c, epsilon), bin_edges)
-        masses = np.clip(masses, 0.0, None)
-        masses = masses / masses.sum()
+        masses = bin_curve(*self.curve(b, c), bin_edges, epsilon)
         self._store[key] = masses
         return masses
 
@@ -179,8 +184,8 @@ def estimate_window(
     The whole (p, b) surface is scored in one call. Tie rule: among the
     pairs within 1e-15 of the minimum, the smallest p wins, then the
     smallest b. A b whose model density fails is skipped. A window with
-    N >= T raises DimensionMismatch: c >= 1 puts an atom at 0 that the model
-    curve only partly captures."""
+    N >= T raises DimensionMismatch: c >= 1 puts an atom of mass 1 - 1/c at
+    0, which the model density leaves out."""
     cache = cache if cache is not None else ModelDensityCache()
     n, t = window.values.shape
     if n >= t:

@@ -137,6 +137,51 @@ def continuity_walk(roots, zs, seed, solve, tol: float, depth: int = 24) -> np.n
     return picked
 
 
+def moment_coefficients(zs, b: float, c: float) -> np.ndarray:
+    """(n, 5) coefficients of the model's quartic in M at each z, highest
+    degree first."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    a2 = 1.0 - b * b
+    a4 = a2 * a2
+    w = 2.0 * a2 * c * (1.0 + b * b)
+    out = np.empty((zs.size, 5), dtype=complex)
+    out[:, 0] = a4 * c * c
+    out[:, 1] = 2.0 * a4 * c * c - w * zs
+    out[:, 2] = a4 * zs * zs - w * zs + (c * c - 1.0) * a4
+    out[:, 3] = -2.0 * a4
+    out[:, 4] = -a4
+    return out
+
+
+def walked_density(b: float, c: float, epsilon: float, grid, tol: float = 1e-3) -> np.ndarray:
+    """Reference density -Im G(lambda + i epsilon) / pi on an ascending grid,
+    G = (M + 1) / z, with M tracked by `continuity_walk` on companion roots.
+
+    The walk starts at |z| = 1e6, where M ~ 1/z picks the root (the one with
+    nonnegative density nearest it), comes in along Im z = max(epsilon,
+    0.05) to just past the grid's right end, goes down to Im z = epsilon,
+    then runs along the grid from right to left."""
+    grid = np.asarray(grid, dtype=float)
+    anchor = max(grid[-1], 1e-6) * 1.0001
+    eps_hi = max(epsilon, 0.05)
+    bridge = np.concatenate(
+        [
+            np.geomspace(max(1e6, 100.0 * (abs(grid[-1]) + 1.0)), anchor, 48) + 1j * eps_hi,
+            anchor + 1j * np.geomspace(eps_hi, epsilon, 32),
+        ]
+    )
+    zs = np.concatenate([bridge, grid[::-1] + 1j * epsilon])
+    roots = companion_roots(moment_coefficients(zs, b, c))
+    start = roots[0][-((roots[0] + 1.0) / zs[0]).imag / np.pi >= -tol]
+    seed = start[np.argmin(np.abs(zs[0] * start - 1.0))]
+
+    def solve(z):
+        return companion_roots(moment_coefficients([z], b, c))[0]
+
+    picked = continuity_walk(roots, zs, seed, solve, tol)[bridge.size :]
+    return (-((picked + 1.0) / zs[bridge.size :]).imag / np.pi)[::-1]
+
+
 def ar1_paths(b: float, N: int, T: int, burn_in: int, rng) -> np.ndarray:
     """Gaussian AR(1) rows by the plain recursion x_t = b x_{t-1} + e_t, with
     e_t of variance 1 - b^2, drawing from `rng` in the generator's order: the

@@ -75,7 +75,7 @@ def test_criterion_2_free_probability_cross_check():
     for i, b in enumerate((0.3, 0.5, 0.7)):
         mc_eigs = brute_force_spectrum(b=b, N=N, T=T, trials=50, seed=100 + i)
         edges = shared_bin_edges(float(mc_eigs.max()) * 1.05, C, bins=100)
-        grid, rho = CACHE.curve(b, C, EPSILON)
+        grid, rho = CACHE.curve(b, C)
         on_grid.append(float(np.trapezoid(rho, grid)))
         model = CACHE.masses(b, C, EPSILON, edges)
         worst = max(worst, js_divergence_masses(density_from_eigenvalues(mc_eigs, edges), model))

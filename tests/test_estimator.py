@@ -30,7 +30,7 @@ from factorspec.errors import (
     DimensionMismatch,
     IndexMismatch,
     InvalidFactorCount,
-    NoPhysicalRoot,
+    ModelDensityError,
 )
 
 CACHE = ModelDensityCache()  # shared across tests; model densities are immutable
@@ -174,7 +174,7 @@ class UniformCache:
 
     def masses(self, b, c, epsilon, bin_edges):
         if b in self.fail:
-            raise NoPhysicalRoot(f"stub failure at b={b}")
+            raise ModelDensityError(f"stub failure at b={b}")
         return np.full(len(bin_edges) - 1, 1.0 / (len(bin_edges) - 1))
 
 
@@ -322,9 +322,9 @@ def test_cache_builds_one_curve_per_b_across_edge_spans(monkeypatch):
     built = []
     real = estimator.model_density_curve
 
-    def counting(params, grid, epsilon):
+    def counting(params, grid):
         built.append(params.b)
-        return real(params, grid, epsilon)
+        return real(params, grid)
 
     monkeypatch.setattr(estimator, "model_density_curve", counting)
     grid = small_grid(b_values=(0.0, 0.4))
@@ -343,17 +343,16 @@ def test_cache_builds_one_curve_per_b_across_edge_spans(monkeypatch):
     assert sorted(built) == [0.0, 0.4]
 
 
-def _curve_and_params(b=0.3, c=0.472, epsilon=1e-3):
+def _curve_and_params(b=0.3, c=0.472):
     params = estimator.NoiseModelParams(b=b, c=c)
-    grid = estimator.default_lambda_grid(params, epsilon)
-    return params, grid, estimator.model_density_curve(params, grid, epsilon)
+    grid = estimator.default_lambda_grid(params)
+    return params, grid, estimator.model_density_curve(params, grid)
 
 
 def test_cache_masses_inside_support_equal_direct_binning():
     params, grid, rho = _curve_and_params()
     edges = np.linspace(0.0, 0.6 * grid[-1], 41)
-    expected = np.clip(estimator.bin_curve(grid, rho, edges), 0.0, None)
-    expected = expected / expected.sum()
+    expected = estimator.bin_curve(grid, rho, edges, 1e-3)
     got = ModelDensityCache().masses(params.b, params.c, 1e-3, edges)
     assert np.array_equal(got, expected)
 
@@ -365,10 +364,24 @@ def test_cache_masses_beyond_support_do_not_depend_on_span():
     wide = np.linspace(0.0, 4.0 * grid[-1], 41)
     m_narrow = cache.masses(0.3, 0.472, 1e-3, narrow)
     m_wide = cache.masses(0.3, 0.472, 1e-3, wide)
-    assert m_narrow.sum() == pytest.approx(1.0, abs=1e-12)
-    assert m_wide.sum() == pytest.approx(1.0, abs=1e-12)
+    # no renormalization: both spans hold the node mass, which is 1 to 1e-6
+    assert m_narrow.sum() == pytest.approx(m_wide.sum(), abs=1e-12)
+    assert m_narrow.sum() == pytest.approx(1.0, abs=1e-6)
     # every other narrow edge is a wide edge: 2k * (2u / 40) == k * (4u / 40)
     assert np.array_equal(narrow[::2], wide[:21])
-    cdf_narrow = np.concatenate([[0.0], np.cumsum(m_narrow)])[::2]
-    cdf_wide = np.concatenate([[0.0], np.cumsum(m_wide)])[:21]
+    # the CDF at each shared edge below the narrow span's last: the Cauchy
+    # tail past that edge folds into the narrow span's last bin
+    cdf_narrow = np.concatenate([[0.0], np.cumsum(m_narrow)])[:-1:2]
+    cdf_wide = np.concatenate([[0.0], np.cumsum(m_wide)])[:20]
     assert np.max(np.abs(cdf_narrow - cdf_wide)) <= 1e-12
+
+
+def test_cache_rejects_a_density_whose_mass_is_not_one():
+    """The cache checks the exact node mass instead of renormalizing: at
+    c = 1.5 the density holds 1/c of the mass (the rest is an atom at 0),
+    and that b fails as a window's failing b does."""
+    cache = ModelDensityCache()
+    with pytest.raises(ModelDensityError, match="mass 0.66666"):
+        cache.masses(0.3, 1.5, 1e-3, np.linspace(0.0, 8.0, 41))
+    with pytest.raises(ModelDensityError):
+        cache.curve(0.3, 1.5)

@@ -1,38 +1,45 @@
-"""Theoretical density: polynomial solver, branch selection, MP reduction."""
+"""Theoretical density: polynomial solver, support, exact density, Cauchy
+smoothing, binning and MP reduction."""
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import oracles
 from factorspec import (
+    Ar1Spec,
     ModelDensityCache,
     NoiseModelParams,
+    PlantedFactorSpec,
+    SearchGrid,
+    StandardizedWindow,
     default_lambda_grid,
+    estimate_window,
+    generate_ar1,
     model_density_curve,
+    planted_factor_matrix,
 )
-from factorspec import model_spectrum
-from factorspec.model_spectrum import (
-    _solve_many,
-    _sweep_curve,
-    _track_branch,
-    bin_curve,
-    select_physical_root,
-    support_cap,
-)
-from factorspec.errors import NoPhysicalRoot
+from factorspec import estimator, model_spectrum
+from factorspec.model_spectrum import DEFAULT_NODES, _solve_many, bin_curve
+from factorspec.errors import ModelDensityError
 
 C = 118 / 250
-
-
-def roots_at(z, b):
-    roots, _ = _solve_many(np.array([z]), b, C)
-    return roots[0]
+B_VALUES = SearchGrid().b_values
 
 
 def green(m, z):
     """G = (M + 1) / z, inverting M(z) = z G(z) - 1."""
     return (m + 1.0) / z
+
+
+def exact_curve(b, c):
+    """The cache's route: nodes over the support and the exact density."""
+    params = NoiseModelParams(b=b, c=c)
+    nodes = default_lambda_grid(params)
+    return nodes, model_density_curve(params, nodes)
 
 
 def test_params_validation():
@@ -47,7 +54,7 @@ def test_params_validation():
 
 
 def test_roots_satisfy_the_polynomial():
-    # grid points, then far-field points of the bridge down from |z| = 1e6
+    # points near the real axis, then far-field points
     zs = np.concatenate(
         [np.array([0.5, 1.5, 3.0]) + 1e-3j, np.array([50.0, 1e3, 1e5, 1e6]) + 0.05j]
     )
@@ -62,9 +69,9 @@ def test_roots_satisfy_the_polynomial():
 PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
 
 
-def sweep_points(monkeypatch, params, epsilon):
-    """Every z that the support scan and the curve solve: the far-field
-    bridge, the lambda grid and the interior of each re-walked step."""
+def solved_points(monkeypatch, params, epsilon):
+    """Every z solved to build the exact density on its nodes and the
+    smoothed curve on a grid past the support."""
     batches = []
     real_solve = model_spectrum._solve_many
 
@@ -74,17 +81,19 @@ def sweep_points(monkeypatch, params, epsilon):
 
     with monkeypatch.context() as m:
         m.setattr(model_spectrum, "_solve_many", recording)
-        three_sweeps(params, epsilon)
+        nodes = default_lambda_grid(params)
+        model_density_curve(params, nodes)
+        model_density_curve(params, np.linspace(0.0, 1.5 * nodes[-1], 300), epsilon)
     return np.concatenate(batches)
 
 
 @pytest.mark.parametrize("c", [0.1, C, 0.9])
 def test_solver_matches_companion_reference(c, monkeypatch):
     """Ferrari plus fallback gives the companion-matrix roots, root for
-    root, to 1e-10 relative, at every z that the sweeps solve."""
+    root, to 1e-10 relative, at every z that a density build solves."""
     for b, epsilon in itertools.product((0.0, 0.5, 0.9, 0.95), (1e-3, 1e-4)):
-        zs = sweep_points(monkeypatch, NoiseModelParams(b=b, c=c), epsilon)
-        assert 1e6 + 0.05j in zs
+        zs = solved_points(monkeypatch, NoiseModelParams(b=b, c=c), epsilon)
+        assert zs.size >= 2 * (DEFAULT_NODES - 2)
         roots, coeffs = _solve_many(zs, b, c)
         want = oracles.companion_roots(coeffs)
         # the best pairing of the four roots, row by row
@@ -93,129 +102,134 @@ def test_solver_matches_companion_reference(c, monkeypatch):
         assert worst.max() < 1e-10, (b, c, epsilon, zs[np.argmax(worst)])
 
 
-def short_walk(zs, params, seed):
-    """`_track_branch` along zs from the root at zs[0] nearest `seed`:
-    the picked root at each z."""
-    zs = np.asarray(zs)
-    roots, _ = _solve_many(zs, params.b, params.c)
-    j = int(np.argmin(np.abs(roots[0] - seed)))
-    return roots[np.arange(zs.size), _track_branch(zs, roots, j, params, 1e-8)]
+def test_support_edges_equal_marchenko_pastur_at_b_zero():
+    """The discriminant's positive real roots are (1 -+ sqrt c)^2 at b = 0,
+    and the nodes run from one edge to the other."""
+    for c in (0.1, C, 20 / 30, 0.9):
+        nodes = default_lambda_grid(NoiseModelParams(b=0.0, c=c))
+        assert nodes[[0, -1]] == pytest.approx(oracles.mp_support(c), rel=1e-10, abs=0.0)
+        assert np.all(np.diff(nodes) > 0)
 
 
 def test_physical_root_reduces_to_mp_green_at_b_zero():
-    """At b = 0 the model is a plain Wishart: the selected root must give the
-    closed-form Marchenko-Pastur Stieltjes transform. Off-support points are
-    resolved by the large-|z| heuristic alone; interior points are walked to
-    from a continuity seed at a nearby point, as in the sweep."""
-    for lam in (3.5, 6.0, 50.0):
-        z = complex(lam, 1e-3)
-        m = select_physical_root(roots_at(z, 0.0), z)
-        assert green(m, z) == pytest.approx(oracles.mp_green(z, C), abs=1e-6)
-    params = NoiseModelParams(b=0.0, c=C)
-    for lam in (0.3, 1.0, 2.0):
-        z0, z = complex(lam + 0.01, 1e-3), complex(lam, 1e-3)
-        m = short_walk([z0, z], params, z0 * oracles.mp_green(z0, C) - 1.0)[-1]
-        assert green(m, z) == pytest.approx(oracles.mp_green(z, C), abs=1e-4)
+    """At b = 0 the model is a plain Wishart: on the support, the root with
+    positive density gives the closed-form Marchenko-Pastur Stieltjes
+    transform, and the exact density is Marchenko-Pastur's."""
+    nodes, rho = exact_curve(0.0, C)
+    lam = nodes[1:-1]
+    roots, _ = _solve_many(lam, 0.0, C)
+    m = roots[np.arange(lam.size), np.argmin(roots.imag, axis=1)]
+    want = np.array([oracles.mp_green(complex(x, 1e-13), C) for x in lam])
+    assert np.max(np.abs(green(m, lam) - want)) < 1e-6
+    assert np.max(np.abs(rho - oracles.mp_density(nodes, C))) < 1e-6
 
 
-def test_physical_root_continuity_tracking():
-    z1, z2 = complex(1.0, 1e-3), complex(1.01, 1e-3)
-    m1 = select_physical_root(roots_at(z1, 0.3), z1)
-    picked = short_walk([z1, z2], NoiseModelParams(b=0.3, c=C), m1)
-    assert picked[0] == m1 and abs(picked[1] - m1) < 0.1
+def test_physical_root_rejects_all_negative_densities(monkeypatch):
+    """Where no root yields a positive density the model has none, and a
+    density that lost its mass that way is refused, not renormalized."""
+    real_solve = model_spectrum._solve_many
+
+    def conjugated(zs, b, c):
+        roots, coeffs = real_solve(zs, b, c)
+        return roots.real + 1j * np.abs(roots.imag), coeffs
+
+    monkeypatch.setattr(model_spectrum, "_solve_many", conjugated)
+    nodes, rho = exact_curve(0.3, C)
+    assert np.all(rho == 0.0)
+    with pytest.raises(ModelDensityError, match="has mass 0.0, not 1"):
+        ModelDensityCache().curve(0.3, C)
 
 
-def test_physical_root_rejects_all_negative_densities():
-    with pytest.raises(NoPhysicalRoot):
-        select_physical_root([1.0 + 5.0j], 1.0 + 1e-3j)
+def test_binned_mass_is_one_before_any_normalization():
+    """The exact node mass, binned with the Cauchy tail and no mass below 0,
+    is 1 to 1e-6 for every default b, with nothing rescaled after binning."""
+    for c, epsilon in itertools.product((C, 20 / 30), (1e-3, 1e-4)):
+        for b in B_VALUES:
+            nodes, rho = exact_curve(b, c)
+            for top in (4.0, 1.2 * nodes[-1]):
+                masses = bin_curve(nodes, rho, np.linspace(0.0, top, 101), epsilon)
+                assert masses.sum() == pytest.approx(1.0, abs=1e-6), (b, c, epsilon, top)
+                assert masses.min() >= 0.0
 
 
-def reference_track(zs, roots, j, params, tol, depth=24):
-    """The per-point walk with its own bisection, from root j at zs[0]:
-    the picked root indices."""
+def piecewise_linear_cdf(knots, values, epsilon, x):
+    """Brute-force CDF at x of the piecewise-linear density through (knots,
+    values), convolved with a Cauchy kernel of width epsilon."""
 
-    def solve(z):
-        return _solve_many(np.array([z]), params.b, params.c)[0][0]
+    def integrand(y):
+        return np.interp(y, knots, values) * (0.5 + math.atan((x - y) / epsilon) / math.pi)
 
-    picked = oracles.continuity_walk(roots, zs, roots[0, j], solve, tol, depth)
-    return [int(np.flatnonzero(row == m)[0]) for row, m in zip(roots, picked)]
-
-
-def three_sweeps(params, epsilon):
-    """The support scan, the default grid, and the curve on that grid."""
-    scan = np.linspace(0.0, support_cap(params), 512)
-    grid = default_lambda_grid(params, epsilon)
-    return (
-        _sweep_curve(scan, params, epsilon),
-        grid,
-        model_density_curve(params, grid, epsilon),
+    return sum(
+        integrate.quad(
+            integrand, lo, hi, points=[x] if lo < x < hi else None,
+            epsabs=1e-14, epsrel=1e-13, limit=200,
+        )[0]
+        for lo, hi in zip(knots[:-1], knots[1:])
     )
 
 
-def test_table_walk_matches_reference_walk(monkeypatch):
-    """The nearest-root table picks the reference walk's roots bit for bit,
-    across the b range, three aspect ratios, two offsets and both grids, and
-    solves no z on its own."""
-    sizes = []
-    real_solve = model_spectrum._solve_many
-
-    def recording(zs, b, c):
-        sizes.append(np.size(zs))
-        return real_solve(zs, b, c)
-
-    for b, c, epsilon in itertools.product(
-        (0.0, 0.3, 0.5, 0.7, 0.9, 0.95), (0.1, C, 20 / 30), (1e-3, 1e-4)
-    ):
-        params = NoiseModelParams(b=b, c=c)
-        with monkeypatch.context() as m:
-            m.setattr(model_spectrum, "_solve_many", recording)
-            got = three_sweeps(params, epsilon)
-        assert min(sizes) > 1, (b, c, epsilon)
-        with monkeypatch.context() as m:
-            m.setattr(model_spectrum, "_track_branch", reference_track)
-            want = three_sweeps(params, epsilon)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w), (b, c, epsilon)
-    assert sizes.count(model_spectrum._SPLIT - 1) > 0  # some steps were walked again
+def test_bin_curve_matches_brute_force_convolution():
+    """For a density linear between the smoothing's knots, the binned masses
+    are those of its exact Cauchy convolution: (C(e_k+1) - C(e_k)) / (1 -
+    C(0)), the last bin running to infinity."""
+    knots = np.array([0.3, 0.5, 0.9, 1.4, 2.0])
+    values = np.array([0.0, 0.8, 1.1, 0.4, 0.0])
+    values /= np.trapezoid(values, knots)
+    step = model_spectrum._TAIL_STEP
+    nodes = np.interp(np.arange(step * 4 + 1) / step, np.arange(5), knots)
+    rho = np.interp(nodes, knots, values)
+    edges = np.linspace(0.0, 2.5, 11)
+    for epsilon in (1e-2, 1e-3):
+        cdf = [piecewise_linear_cdf(knots, values, epsilon, x) for x in edges[:-1]]
+        want = np.diff(np.append(cdf, 1.0)) / (1.0 - cdf[0])
+        got = bin_curve(nodes, rho, edges, epsilon)
+        assert np.max(np.abs(got - want)) < 1e-10
 
 
-def test_rewalk_matches_reference_walk_across_branch_points(monkeypatch):
-    """On grids so coarse that steps cross branch points, where the nearest
-    root alone often picks another branch, the re-walked sub-paths give the
-    reference bisection's curve bit for bit."""
-
-    def curve(track, grid, params):
-        with monkeypatch.context() as m:
-            m.setattr(model_spectrum, "_track_branch", track)
-            return _sweep_curve(grid, params, 1e-4)
-
-    def nearest_only(*args):
-        return reference_track(*args, depth=0)
-
-    moved = 0
-    for b, c, n in itertools.product((0.0, 0.5, 0.7), (0.1, C), (5, 10, 20)):
-        params = NoiseModelParams(b=b, c=c)
-        grid = np.linspace(0.0, support_cap(params), n)
-        got = _sweep_curve(grid, params, 1e-4)
-        assert np.array_equal(got, curve(reference_track, grid, params)), (b, c, n)
-        moved += not np.array_equal(got, curve(nearest_only, grid, params))
-    assert moved > 0
+def test_smoothed_curve_matches_reference_walk():
+    """The Cauchy-smoothed curve against -Im G(lambda + i epsilon) / pi from
+    the branch walk: within 2e-3 of the peak everywhere, and within 5e-4 of
+    the walked value past the support (the Cauchy tail). The gap is the
+    piecewise-linear density and its coarser smoothing knots."""
+    for b, epsilon in itertools.product((0.0, 0.5, 0.9), (1e-3, 1e-4)):
+        params = NoiseModelParams(b=b, c=C)
+        hi = default_lambda_grid(params, 2)[-1]
+        grid = np.linspace(0.0, 1.3 * hi, 700)
+        want = oracles.walked_density(b, C, epsilon, grid)
+        got = model_density_curve(params, grid, epsilon)
+        assert np.max(np.abs(got - want)) <= 2e-3 * want.max(), (b, epsilon)
+        past = grid > 1.01 * hi
+        assert np.max(np.abs(got[past] / want[past] - 1.0)) <= 5e-4, (b, epsilon)
 
 
-def test_walk_raises_when_a_step_has_no_physical_root(monkeypatch):
-    real_solve = model_spectrum._solve_many
+def window_estimates(cache):
+    """(p_hat, b_hat) on 70 fixed windows: 10 of pure AR(1) at each of b = 0,
+    0.3, 0.5 and 0.7, and 10 with each of k = 1, 2 and 3 planted
+    strength-5 factors in b = 0.5 noise."""
+    grid = SearchGrid(epsilon=1e-4)
+    windows = [
+        generate_ar1(Ar1Spec(b=b), 118, 250, rng=np.random.default_rng([9200, int(100 * b), run]))
+        for b, run in itertools.product((0.0, 0.3, 0.5, 0.7), range(10))
+    ] + [
+        planted_factor_matrix(
+            PlantedFactorSpec(k=k, strength=5.0, seed=9300 + 10 * k + run), Ar1Spec(b=0.5), 118, 250
+        )
+        for k, run in itertools.product((1, 2, 3), range(10))
+    ]
+    out = []
+    for x in windows:
+        x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
+        r = estimate_window(StandardizedWindow(values=x, end_index=250), grid, cache=cache)
+        out.append((r.p_hat, r.b_hat))
+    return out
 
-    def one_bad_step(zs, b, c):
-        roots, coeffs = real_solve(zs, b, c)
-        if roots.shape[0] > 100:  # the curve's path, not a re-walked step
-            k = roots.shape[0] - 100
-            roots[k] = 10j * zs[k] - 1.0  # G = (M + 1) / z = 10i: density -10 / pi
-        return roots, coeffs
 
-    monkeypatch.setattr(model_spectrum, "_solve_many", one_bad_step)
-    params = NoiseModelParams(b=0.3, c=C)
-    with pytest.raises(NoPhysicalRoot, match="no root yields a nonnegative density at z="):
-        model_density_curve(params, np.linspace(0.0, 3.0, 300), epsilon=1e-4)
+def test_estimates_do_not_depend_on_the_node_count(monkeypatch):
+    """The default nodes and four times as many give the same estimates."""
+    default = window_estimates(ModelDensityCache())
+    fine = functools.partial(default_lambda_grid, n_points=4 * (DEFAULT_NODES - 1) + 1)
+    monkeypatch.setattr(estimator, "default_lambda_grid", fine)
+    assert window_estimates(ModelDensityCache()) == default
 
 
 def test_mp_reduction_curve():
@@ -229,9 +243,7 @@ def test_mp_reduction_curve():
 def test_model_density_mass_and_mean():
     """Standardized rows force unit mean eigenvalue regardless of b."""
     for b in (0.0, 0.4, 0.7):
-        params = NoiseModelParams(b=b, c=C)
-        grid = default_lambda_grid(params, epsilon=1e-4)
-        rho = model_density_curve(params, grid, epsilon=1e-4)
+        grid, rho = exact_curve(b, C)
         mass = np.trapezoid(rho, grid)
         mean = np.trapezoid(rho * grid, grid)
         assert mass == pytest.approx(1.0, abs=5e-3)
@@ -240,40 +252,46 @@ def test_model_density_mass_and_mean():
 
 def test_model_density_curve_nonnegative():
     params = NoiseModelParams(b=0.6, c=C)
-    grid = np.linspace(0.0, support_cap(params), 400)
+    grid = np.linspace(0.0, 3.0 * default_lambda_grid(params, 2)[-1], 400)
     rho = model_density_curve(params, grid, epsilon=1e-3)
     assert np.all(rho >= 0.0)
 
 
 def test_support_widens_with_b():
     edges = [
-        default_lambda_grid(NoiseModelParams(b=b, c=C), epsilon=1e-4)[-1]
+        default_lambda_grid(NoiseModelParams(b=b, c=C))[-1]
         for b in (0.0, 0.3, 0.6)
     ]
     assert edges[0] < edges[1] < edges[2]
 
 
+def unit_bump():
+    """A density of unit trapezoid mass on [0, 40], 0 at both ends."""
+    grid = np.linspace(0.0, 40.0, 4001)
+    rho = grid * np.exp(-grid)
+    rho[-1] = 0.0
+    return grid, rho / np.trapezoid(rho, grid)
+
+
 def test_bin_curve_total_mass_preserved():
-    grid = np.linspace(0.0, 10.0, 2001)
-    rho = np.exp(-grid)  # mass ~ 1
+    grid, rho = unit_bump()
     edges = np.linspace(0.0, 10.0, 41)
-    masses = bin_curve(grid, rho, edges)
-    assert masses.sum() == pytest.approx(np.trapezoid(rho, grid), abs=1e-9)
+    masses = bin_curve(grid, rho, edges, 1e-3)
+    assert masses.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bin_curve_clamps_tail_into_last_bin():
-    grid = np.linspace(0.0, 10.0, 2001)
-    rho = np.exp(-grid)
-    narrow = np.linspace(0.0, 2.0, 9)
-    masses = bin_curve(grid, rho, narrow)
+    grid, rho = unit_bump()
+    wide = np.linspace(0.0, 40.0, 161)
+    narrow = wide[:9]
+    masses = bin_curve(grid, rho, narrow, 1e-3)
     # the last bin holds [1.75, 2] plus everything past the last edge
-    tail = grid >= 1.75 - 1e-9
-    assert masses[-1] == pytest.approx(np.trapezoid(rho[tail], grid[tail]), abs=1e-6)
+    assert masses[-1] == pytest.approx(bin_curve(grid, rho, wide, 1e-3)[7:].sum(), abs=1e-12)
 
 
 def test_model_density_binned_matches_closed_form_cdf():
     cache = ModelDensityCache()
-    grid, _ = cache.curve(0.0, C, 1e-4)
+    grid, _ = cache.curve(0.0, C)
     edges = np.linspace(0.0, grid[-1], 51)
     masses = cache.masses(0.0, C, 1e-4, edges)
     lo, hi = oracles.mp_support(C)
