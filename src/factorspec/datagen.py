@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .data_model import RawDataSource
 from .errors import InvalidCoefficient, ScheduleOutOfRange
@@ -94,8 +93,11 @@ def generate_ar1(
     rng = rng if rng is not None else np.random.default_rng(spec.seed)
     path = _innovations(spec, rng, (N, T + burn_in))
     path[:, 0] = rng.standard_normal(N)  # stationary start, variance 1
-    for row in path:  # filtered in place, so a long record is allocated once
-        row[:] = lfilter([1.0], [1.0, -spec.b], row)
+    # x_t += b x_{t-1} on column views, in place, so a long record is
+    # allocated once; each updated column feeds the next step
+    cols = path.T
+    for prev, cur in zip(cols, cols[1:]):
+        cur += spec.b * prev
     return path[:, burn_in:]
 
 

@@ -107,7 +107,7 @@ class ModelDensityCache:
             return hit
         params = NoiseModelParams(b=b, c=c)
         nodes = default_lambda_grid(params)
-        rho = model_density_curve(params, nodes)
+        rho = model_density_curve(params, nodes, support=(nodes[0], nodes[-1]))
         mass = float(np.trapezoid(rho, nodes))
         if abs(mass - 1.0) > 1e-6:
             raise ModelDensityError(f"model density at b={b}, c={c} has mass {mass}, not 1")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial, polyutils
+from numpy.polynomial import polynomial as poly, polyutils
 
 from .errors import ModelDensityError
 
@@ -130,14 +130,14 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(polished), polished, raw)
 
 
-def _quartic(b: float, c: float) -> tuple[Polynomial, ...]:
+def _quartic(b: float, c: float) -> tuple[np.ndarray, ...]:
     """The moment polynomial's coefficients, highest degree in M first, each
-    a polynomial in z."""
+    a polynomial in z given by its coefficients, lowest degree first."""
     a2 = 1.0 - b * b
     a4 = a2 * a2
     w = -2.0 * a2 * c * (1.0 + b * b)
     return tuple(
-        Polynomial(p)
+        np.array(p)
         for p in ([a4 * c * c], [2.0 * a4 * c * c, w], [(c * c - 1.0) * a4, w, a4], [-2.0 * a4], [-a4])
     )
 
@@ -153,7 +153,7 @@ def _solve_many(zs: np.ndarray, b: float, c: float) -> tuple[np.ndarray, np.ndar
     is computed the same way whatever n is, so a z gets the same bits in any
     batch."""
     zs = np.asarray(zs, dtype=complex)
-    coeffs = np.stack([p(zs) for p in _quartic(b, c)], axis=1)
+    coeffs = np.stack([poly.polyval(zs, p) for p in _quartic(b, c)], axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         roots = _newton_refine(_ferrari(coeffs), coeffs, steps=3)
         failed = ~np.all(_is_root(roots, coeffs), axis=1)
@@ -167,14 +167,23 @@ def _support(params: NoiseModelParams) -> tuple[float, float]:
     the quartic's discriminant in z, where a complex-conjugate pair of roots
     appears and vanishes. At b = 0 they are (1 -+ sqrt c)^2."""
     q4, q3, q2, q1, q0 = _quartic(params.b, params.c)
-    i = 12.0 * q4 * q0 - 3.0 * q3 * q1 + q2**2
-    j = 72.0 * q4 * q2 * q0 + 9.0 * q3 * q2 * q1 - 27.0 * (q4 * q1**2 + q0 * q3**2) - 2.0 * q2**3
+    mul, add, sub, pow_ = poly.polymul, poly.polyadd, poly.polysub, poly.polypow
+    # i = 12 q4 q0 - 3 q3 q1 + q2^2
+    i = add(sub(mul(12.0 * q4, q0), mul(3.0 * q3, q1)), pow_(q2, 2))
+    # j = 72 q4 q2 q0 + 9 q3 q2 q1 - 27 (q4 q1^2 + q0 q3^2) - 2 q2^3
+    j = sub(
+        sub(
+            add(mul(mul(72.0 * q4, q2), q0), mul(mul(9.0 * q3, q2), q1)),
+            27.0 * add(mul(q4, pow_(q1, 2)), mul(q0, pow_(q3, 2))),
+        ),
+        2.0 * pow_(q2, 3),
+    )
     # 4 i^3 - j^2 is 27 times the discriminant, a polynomial of degree 8 in z
     # (the terms past z^8 cancel). z = 0 is a double root, since (M + 1)^2
     # divides the quartic there. At b = 0 the degree drops to 6, and what is
     # left of the top terms is rounding.
-    disc = (4.0 * i**3 - j**2).coef[2:9]
-    roots = Polynomial(polyutils.trimcoef(disc, 1e-12 * np.abs(disc).max())).roots()
+    disc = sub(4.0 * pow_(i, 3), pow_(j, 2))[2:9]
+    roots = poly.polyroots(polyutils.trimcoef(disc, 1e-12 * np.abs(disc).max()))
     edges = np.sort(roots.real[(roots.real > 0) & (np.abs(roots.imag) <= 1e-9 * np.abs(roots))])
     if edges.size != 2:
         raise ModelDensityError(
@@ -190,14 +199,20 @@ def default_lambda_grid(
     """Cosine-spaced nodes over the support [lo, hi], denser toward both
     edges: lo + (hi - lo) (1 - cos(pi u)) / 2 for u evenly spaced in [0, 1].
     The first and last nodes are the edges themselves."""
-    lo, hi = _support(params)
+    return _cosine_nodes(*_support(params), n_points)
+
+
+def _cosine_nodes(lo: float, hi: float, n_points: int) -> np.ndarray:
     nodes = lo + 0.5 * (hi - lo) * (1.0 - np.cos(np.linspace(0.0, np.pi, n_points)))
     nodes[-1] = hi
     return nodes
 
 
 def model_density_curve(
-    params: NoiseModelParams, lambda_grid, epsilon: float = 0.0
+    params: NoiseModelParams,
+    lambda_grid,
+    epsilon: float = 0.0,
+    support: tuple[float, float] | None = None,
 ) -> np.ndarray:
     """The model density at each lambda of a grid.
 
@@ -206,18 +221,21 @@ def model_density_curve(
     value of -Im((M + 1) / lambda) / pi among the four roots; outside the
     support it is 0. With epsilon > 0 it is the density, taken as piecewise
     linear on the default nodes, convolved with a Cauchy kernel of width
-    epsilon: the derivative of the CDF that `bin_curve` bins."""
+    epsilon: the derivative of the CDF that `bin_curve` bins.
+
+    `support` is the model's [lo, hi] when the caller has it already, as the
+    first and last of `default_lambda_grid`'s nodes; it is solved otherwise."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     x = np.asarray(lambda_grid, dtype=float)
+    lo, hi = _support(params) if support is None else support
     if epsilon > 0:
-        nodes = default_lambda_grid(params)
-        rho = model_density_curve(params, nodes)
+        nodes = _cosine_nodes(lo, hi, DEFAULT_NODES)
+        rho = model_density_curve(params, nodes, support=(lo, hi))
         knots, jumps = _tail(nodes, rho)
         return np.interp(x, nodes, rho) + epsilon * (
             _density_kernel((x[:, None] - knots) / epsilon) @ jumps
         )
-    lo, hi = _support(params)
     inside = (x > lo) & (x < hi)
     roots, _ = _solve_many(x[inside], params.b, params.c)
     rho = np.zeros_like(x)

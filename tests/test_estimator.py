@@ -322,9 +322,9 @@ def test_cache_builds_one_curve_per_b_across_edge_spans(monkeypatch):
     built = []
     real = estimator.model_density_curve
 
-    def counting(params, grid):
+    def counting(params, grid, **kwargs):
         built.append(params.b)
-        return real(params, grid)
+        return real(params, grid, **kwargs)
 
     monkeypatch.setattr(estimator, "model_density_curve", counting)
     grid = small_grid(b_values=(0.0, 0.4))

@@ -111,6 +111,23 @@ def test_support_edges_equal_marchenko_pastur_at_b_zero():
         assert np.all(np.diff(nodes) > 0)
 
 
+def test_a_density_build_solves_the_support_once(monkeypatch):
+    """A cold cache curve and an epsilon > 0 curve each find [lo, hi] once:
+    the nodes' first and last values are the edges the density needs."""
+    calls = []
+    real = model_spectrum._support
+
+    def counting(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(model_spectrum, "_support", counting)
+    ModelDensityCache().curve(0.4, C)
+    assert len(calls) == 1
+    model_density_curve(NoiseModelParams(b=0.4, c=C), np.linspace(0.0, 4.0, 50), 1e-4)
+    assert len(calls) == 2
+
+
 def test_physical_root_reduces_to_mp_green_at_b_zero():
     """At b = 0 the model is a plain Wishart: on the support, the root with
     positive density gives the closed-form Marchenko-Pastur Stieltjes

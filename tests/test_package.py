@@ -1,8 +1,11 @@
 """The package's public surface."""
 import argparse
 import ast
+import os
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,29 @@ def test_no_private_helper_is_dead():
     for path in sorted(PACKAGE.glob("*.py")):
         refs.visit(ast.parse(path.read_text(), filename=str(path)))
     assert sorted(refs.defined - refs.used) == []
+
+
+NO_SCIPY_DETECT = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import factorspec, factorspec.cli
+code = factorspec.cli.main(
+    ["detect", "--case", "case1", "--runs", "1", "--stride", "50", "--output-dir", sys.argv[1]]
+)
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None]
+sys.exit(f"scipy modules loaded: {loaded}" if loaded else code)
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    """The package needs numpy only: with scipy unimportable, a fresh
+    interpreter imports it and runs a detect to completion."""
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_DETECT, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent), "OPENBLAS_NUM_THREADS": "1"},
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "report.json").is_file()
