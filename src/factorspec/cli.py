@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .data_model import RawDataSource, WindowSpec, load_csv
 from .datagen import Ar1Spec, PlantedFactorSpec, case_schedule, synthesize_case
-from .errors import ConfigError, FactorSpecError, InvalidCoefficient
+from .errors import ConfigError, FactorSpecError, InvalidCoefficient, NoWindowScored
 from .estimator import (
     ModelDensityCache,
     SearchGrid,
@@ -150,6 +150,16 @@ def _source_for_run(config: RunConfig, seed: int) -> RawDataSource:
     )
 
 
+def _no_window_message(timeline, t: int, window_length: int) -> str:
+    if not timeline.failures:
+        return f"no window fits: {t} samples, window length {window_length}"
+    end_index, error = timeline.failures[0]
+    return (
+        f"none of the run's {len(timeline.failures)} windows was scored; "
+        f"the first failed at end_index {end_index}: {error}"
+    )
+
+
 def run_detect(config: RunConfig) -> dict:
     """Execute the full detection pipeline and write artifacts; returns the report."""
     config.validate()
@@ -177,9 +187,10 @@ def run_detect(config: RunConfig) -> dict:
             wspec = WindowSpec(N=source.n, T=config.window_length, stride=config.stride)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        timelines.append(
-            sweep(source, wspec, grid, cache=cache, keep_surface=config.dump_surface)
-        )
+        timeline = sweep(source, wspec, grid, cache=cache, keep_surface=config.dump_surface)
+        if not timeline.results:
+            raise NoWindowScored(_no_window_message(timeline, source.t, config.window_length))
+        timelines.append(timeline)
     elapsed = time.perf_counter() - started
     avg = average_runs(timelines)
     try:

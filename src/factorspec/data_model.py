@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import mmap
 import warnings
 from dataclasses import dataclass
@@ -17,13 +18,34 @@ from .errors import (
 )
 
 
+def _adoptable(values) -> bool:
+    """A read-only float64 array, which no one can change under us."""
+    frozen = isinstance(values, np.ndarray) and not values.flags.writeable
+    return frozen and values.dtype == np.float64
+
+
 def _frozen_array(values) -> np.ndarray:
     """A read-only float64 array is kept as it is; anything else is copied
     and frozen."""
-    frozen = isinstance(values, np.ndarray) and not values.flags.writeable
-    if frozen and values.dtype == np.float64:
+    if _adoptable(values):
         return values
     arr = np.array(values, dtype=float, copy=True)
+    arr.setflags(write=False)
+    return arr
+
+
+def _frozen_record(values) -> np.ndarray:
+    """`_frozen_array` for a source's record: the copy is an array from
+    `_mapped` (see there why), cast as np.array(values, dtype=float) casts.
+    `load_csv` and `synthesize_case` freeze their records, so only a caller
+    that wraps a record of its own pays for a copy, say
+    `RawDataSource(values=generate_ar1(spec, N, T))`."""
+    if _adoptable(values):
+        return values
+    if not isinstance(values, np.ndarray):
+        values = np.asarray(values, dtype=float)
+    arr = _mapped(values.shape)
+    arr[...] = values
     arr.setflags(write=False)
     return arr
 
@@ -35,13 +57,14 @@ class RawDataSource:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
+        object.__setattr__(self, "values", _frozen_record(self.values))
         if self.values.ndim != 2:
             raise DimensionMismatch("source must be a 2-d matrix")
         n, t = self.values.shape
         if n < 2 or t < 2:
             raise DimensionMismatch(f"need at least 2x2 data, got {n}x{t}")
-        if not np.all(np.isfinite(self.values)):
+        # min and max propagate nan and reach inf, with no record-sized mask
+        if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
             raise ValueError("source contains non-finite entries")
 
     @property
@@ -140,13 +163,9 @@ _BLOCK_CHARS = 1 << 20  # text handed to one np.loadtxt call
 def _loadtxt(path, skip_header: bool) -> np.ndarray | None:
     """The fast parse, or None when the cell-by-cell parser must decide.
 
-    np.loadtxt parses about a megabyte of lines at a time, and the rows go
-    into one anonymous memory map with room for every line of the file. A
-    record parsed in one call lands in the process heap instead, where the
-    block a freed record leaves stays resident and the next record fits
-    into it or not by a few bytes, so the resident size of repeated loads
-    can differ by a whole record from one run to the next. The map's pages
-    go back to the system as soon as the source is dropped."""
+    np.loadtxt parses about a megabyte of lines at a time, so it makes no
+    record-sized array of its own, and the rows go into one array from
+    `_mapped` (see there why) with room for every line of the file."""
     out, rows, block = None, 0, 1
     with warnings.catch_warnings(record=True) as caught, open(path) as fh:
         warnings.simplefilter("always")
@@ -160,7 +179,7 @@ def _loadtxt(path, skip_header: bool) -> np.ndarray | None:
                 if part.size == 0:
                     continue
                 if out is None:
-                    out = _mapped_rows(_line_bound(path), part.shape[1])
+                    out = _mapped((_line_bound(path), part.shape[1]))
                 if part.shape[1] != out.shape[1] or not np.all(np.isfinite(part)):
                     return None
                 out[rows : rows + len(part)] = part
@@ -172,10 +191,23 @@ def _loadtxt(path, skip_header: bool) -> np.ndarray | None:
     return out[:rows]
 
 
-def _mapped_rows(n: int, m: int) -> np.ndarray:
-    """An n x m float64 array in anonymous memory of its own; pages count as
-    resident once written."""
-    return np.frombuffer(mmap.mmap(-1, n * m * 8), dtype=np.float64).reshape(n, m)
+def _mapped(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of the given shape in an anonymous memory map of its
+    own; its pages count as resident once written.
+
+    This is the data model's one allocation for a record: a source's copy
+    of a record it cannot adopt (`_frozen_record`) and a parsed CSV
+    (`_loadtxt`) both come from here. An array on the process heap would
+    stay resident after it is freed: once glibc frees one large block it
+    raises its map and trim thresholds to that block's size, so later
+    records of that size go on the heap, where a freed one is kept for
+    reuse. A map goes back to the system as soon as the array and every
+    view of it are dropped. A window's copy stays on the heap, where it is
+    cheaper than a map's page faults and munmap, and so does the cell
+    parser's result, on the slow path for files np.loadtxt rejects."""
+    size = math.prod(shape)
+    buffer = mmap.mmap(-1, max(size, 1) * 8)  # a map cannot be empty
+    return np.frombuffer(buffer, dtype=np.float64, count=size).reshape(shape)
 
 
 def _line_bound(path) -> int:

@@ -51,6 +51,10 @@ class GridExhausted(FactorSpecError):
     pass
 
 
+class NoWindowScored(FactorSpecError):
+    """A run scored none of its windows."""
+
+
 class IndexMismatch(FactorSpecError):
     pass
 

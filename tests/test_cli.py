@@ -9,7 +9,7 @@ import pytest
 
 from factorspec import Ar1Spec, SearchGrid, generate_ar1
 from factorspec import cli
-from factorspec.cli import EXIT_CONFIG, EXIT_OK, RunConfig, main
+from factorspec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, RunConfig, main
 from factorspec.errors import ConfigError
 
 DETECT_FLAGS = [
@@ -102,6 +102,31 @@ def test_detect_rejects_p_max_above_window_rank(small_csv, tmp_path, capsys, mon
     assert run_detect(small_csv, tmp_path / "o", ["--p-max", "25"]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert swept == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_detect_fails_a_run_that_scores_no_window(tmp_path, capsys):
+    """A constant channel fails every window with DegenerateRow; the run
+    exits 4 and names the first failure, and writes nothing."""
+    x = generate_ar1(Ar1Spec(b=0.4, seed=3), N=40, T=600)
+    x[5] = 1.0
+    path = tmp_path / "flat.csv"
+    np.savetxt(path, x, delimiter=",")
+    code = main(
+        ["detect", "--input", str(path), "--output-dir", str(tmp_path / "o"),
+         "--window-length", "120", "--stride", "20", "--p-max", "4"]
+    )
+    assert code == EXIT_PIPELINE
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "NoWindowScored"
+    assert "end_index 120" in error["message"] and "DegenerateRow" in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_detect_fails_a_source_shorter_than_the_window(small_csv, tmp_path, capsys):
+    assert run_detect(small_csv, tmp_path / "o", ["--window-length", "80"]) == EXIT_PIPELINE
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "NoWindowScored" and "60 samples" in error["message"]
     assert not (tmp_path / "o").exists()
 
 

@@ -1,14 +1,21 @@
 """Windowing, standardization, and CSV ingestion."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from factorspec import (
     RawDataSource,
     RawWindow,
+    SearchGrid,
     WindowSpec,
     cut_window,
     load_csv,
     standardize,
+    sweep,
 )
 from factorspec import data_model
 from factorspec.errors import (
@@ -64,10 +71,17 @@ def test_cut_window_shape_mismatch(source):
 
 
 def test_source_rejects_non_finite():
-    bad = np.ones((3, 5))
-    bad[1, 2] = np.nan
-    with pytest.raises(ValueError):
-        RawDataSource(values=bad)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.ones((3, 5))
+        bad[1, 2] = value
+        with pytest.raises(ValueError):
+            RawDataSource(values=bad)
+
+
+def test_source_rejects_an_empty_record():
+    for values in ([], [[]], np.empty((0, 5))):
+        with pytest.raises(DimensionMismatch):
+            RawDataSource(values=values)
 
 
 def test_source_values_are_read_only(source):
@@ -182,7 +196,8 @@ def test_load_csv_empty_file_falls_back_without_warning(tmp_path, recwarn):
 
 def test_raw_data_source_adopts_only_a_read_only_float64_input():
     """A writable input is copied, a read-only float64 one is shared, and a
-    read-only one of another dtype is copied; the source is read-only."""
+    read-only one of another dtype is copied; the source is read-only, and
+    a later write to the caller's array does not show in it."""
     writable = np.linspace(0.0, 1.0, 12).reshape(3, 4)
     frozen = writable.copy()
     frozen.setflags(write=False)
@@ -193,6 +208,72 @@ def test_raw_data_source_adopts_only_a_read_only_float64_input():
         assert np.shares_memory(values, data) == shared
         assert values.dtype == np.float64 and not values.flags.writeable
         assert np.array_equal(values, data)
+    expect = writable.copy()
+    values = RawDataSource(values=writable).values
+    writable += 1.0
+    assert np.array_equal(values, expect)
+
+
+def test_only_a_copied_record_is_mapped(monkeypatch):
+    """A read-only float64 record is adopted without a map, any other record
+    is copied into exactly one, a window's copy stays on the heap, and a
+    sweep over a frozen source maps nothing: no window is copied."""
+    maps = []
+    real = data_model.mmap.mmap
+    monkeypatch.setattr(data_model.mmap, "mmap", lambda *a: maps.append(a) or real(*a))
+    writable = np.random.default_rng(3).normal(size=(6, 60))
+    frozen = writable.copy()
+    frozen.setflags(write=False)
+    source = RawDataSource(values=frozen)
+    assert len(maps) == 0
+    for other in (writable, frozen.astype(np.float32), writable.tolist()):
+        values = RawDataSource(values=other).values
+        assert np.array_equal(values, np.array(other, dtype=float))
+    assert len(maps) == 3
+    RawWindow(values=writable[:, :30], end_index=30)
+    assert len(maps) == 3
+    grid = SearchGrid(p_values=(0, 1), b_values=(0.0, 0.5), epsilon=1e-3, bins=10)
+    timeline = sweep(source, WindowSpec(N=6, T=30, stride=10), grid)
+    assert len(timeline.results) == 4 and len(maps) == 3
+
+
+RELEASE_PROBE = """
+import os
+import numpy as np
+from factorspec import RawDataSource
+
+page = os.sysconf("SC_PAGE_SIZE")
+
+
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * page
+
+
+x = np.random.default_rng(0).normal(size=(118, 20000))
+before = resident()
+rises = []
+for _ in range(3):
+    source = RawDataSource(values=x)
+    del source
+    rises.append(resident() - before)
+print(max(rises))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+def test_a_dropped_source_gives_its_copy_back():
+    """Building a source from a writable 118 x 20000 record copies 18.9 MB;
+    once the source is dropped, those pages are no longer resident."""
+    done = subprocess.run(
+        [sys.executable, "-c", RELEASE_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(data_model.__file__).parents[1])},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) <= 2 << 20
 
 
 def test_load_csv_keeps_the_parse_without_a_copy(tmp_path, monkeypatch):
