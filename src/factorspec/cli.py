@@ -129,8 +129,10 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 def _write_curve(path: Path, params: NoiseModelParams, epsilon: float, points: int) -> None:
     """The model density at width epsilon, at `points` even steps from 0 to
     5% past the support's upper edge."""
-    grid = np.linspace(0.0, 1.05 * default_lambda_grid(params, 2)[-1], points)
-    _write_rows(path, ["lambda", "rho"], zip(grid, model_density_curve(params, grid, epsilon)))
+    lo, hi = default_lambda_grid(params, 2)
+    grid = np.linspace(0.0, 1.05 * hi, points)
+    rho = model_density_curve(params, grid, epsilon, support=(lo, hi))
+    _write_rows(path, ["lambda", "rho"], zip(grid, rho))
 
 
 def _dump_model_densities(out: Path, grid: SearchGrid, c: float) -> None:

@@ -5,7 +5,6 @@ import csv
 import itertools
 import math
 import mmap
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,13 +145,34 @@ def standardize(window: RawWindow) -> StandardizedWindow:
 def load_csv(path, skip_header: bool = False) -> RawDataSource:
     """Read a source matrix from CSV: one row per channel, one column per sample.
 
-    `np.loadtxt` parses a clean file; any file it rejects, warns about, or
-    reads as empty or non-finite goes through the cell-by-cell parser,
-    which locates the offending cell in its CsvParseError. Not thread-safe:
-    the fast parse records warnings through the process-wide filters."""
-    values = _loadtxt(path, skip_header)
-    if values is None:
-        values = _parse_cells(path, skip_header)
+    np.loadtxt parses about a megabyte of lines at a time, so it makes no
+    record-sized array of its own, and the rows go into one array from
+    `_mapped` (see there why) with room for every line of the file. A block
+    it rejects, or that has another width or a non-finite value, is read
+    again only to name its first bad cell (`_bad_cell`)."""
+    out, rows, width, next_row, block = None, 0, None, 1 + skip_header, 1
+    with open(path) as fh:
+        if skip_header:
+            fh.readline()
+        while lines := list(itertools.islice(fh, block)):
+            block = max(1, _BLOCK_CHARS * len(lines) // sum(map(len, lines)))
+            first_row, next_row = next_row, next_row + len(lines)
+            if all(line == "\n" for line in lines):
+                continue  # np.loadtxt would warn that it found no data
+            try:
+                part = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2, comments=None)
+            except ValueError:  # a bad cell or a ragged row
+                raise _bad_cell(lines, first_row, width) from None
+            width = width or part.shape[1]
+            if part.shape[1] != width or not np.all(np.isfinite(part)):
+                raise _bad_cell(lines, first_row, width)
+            if out is None:
+                out = _mapped((_line_bound(path), width))
+            out[rows : rows + len(part)] = part
+            rows += len(part)
+    if out is None:
+        raise DimensionMismatch("the CSV holds no data rows")
+    values = out[:rows]
     values.setflags(write=False)
     return RawDataSource(values)
 
@@ -160,35 +180,27 @@ def load_csv(path, skip_header: bool = False) -> RawDataSource:
 _BLOCK_CHARS = 1 << 20  # text handed to one np.loadtxt call
 
 
-def _loadtxt(path, skip_header: bool) -> np.ndarray | None:
-    """The fast parse, or None when the cell-by-cell parser must decide.
-
-    np.loadtxt parses about a megabyte of lines at a time, so it makes no
-    record-sized array of its own, and the rows go into one array from
-    `_mapped` (see there why) with room for every line of the file."""
-    out, rows, block = None, 0, 1
-    with warnings.catch_warnings(record=True) as caught, open(path) as fh:
-        warnings.simplefilter("always")
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # blank lines
-        try:
-            if skip_header:
-                fh.readline()
-            while lines := list(itertools.islice(fh, block)):
-                part = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-                block = max(1, _BLOCK_CHARS * len(lines) // sum(map(len, lines)))
-                if part.size == 0:
-                    continue
-                if out is None:
-                    out = _mapped((_line_bound(path), part.shape[1]))
-                if part.shape[1] != out.shape[1] or not np.all(np.isfinite(part)):
-                    return None
-                out[rows : rows + len(part)] = part
-                rows += len(part)
-        except ValueError:  # a bad cell, a ragged row, undecodable bytes
-            return None
-    if caught or out is None:
-        return None
-    return out[:rows]
+def _bad_cell(lines: list[str], first_row: int, width: int | None) -> CsvParseError:
+    """The error for a block of lines that starts at 1-based row `first_row`:
+    its first cell that Python's float cannot read or reads as non-finite,
+    or its first row that is not `width` cells wide (the width of its first
+    row when `width` is None). It names the block's first row if no cell is
+    bad to float, as with a spelling only float accepts, such as 1_0."""
+    for row, record in enumerate(csv.reader(lines), start=first_row):
+        if not record:
+            continue
+        for col, cell in enumerate(record, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                return CsvParseError(row, col)
+            if not math.isfinite(value):
+                return CsvParseError(row, col, f"non-finite value at row {row}, column {col}")
+        width = width or len(record)
+        if len(record) != width:
+            return CsvParseError(row, 0, f"ragged row {row}: {len(record)} cells, not {width}")
+    last = first_row + len(lines) - 1
+    return CsvParseError(first_row, 0, f"unparseable value in rows {first_row} to {last}")
 
 
 def _mapped(shape: tuple[int, ...]) -> np.ndarray:
@@ -197,14 +209,13 @@ def _mapped(shape: tuple[int, ...]) -> np.ndarray:
 
     This is the data model's one allocation for a record: a source's copy
     of a record it cannot adopt (`_frozen_record`) and a parsed CSV
-    (`_loadtxt`) both come from here. An array on the process heap would
+    (`load_csv`) both come from here. An array on the process heap would
     stay resident after it is freed: once glibc frees one large block it
     raises its map and trim thresholds to that block's size, so later
     records of that size go on the heap, where a freed one is kept for
     reuse. A map goes back to the system as soon as the array and every
     view of it are dropped. A window's copy stays on the heap, where it is
-    cheaper than a map's page faults and munmap, and so does the cell
-    parser's result, on the slow path for files np.loadtxt rejects."""
+    cheaper than a map's page faults and munmap."""
     size = math.prod(shape)
     buffer = mmap.mmap(-1, max(size, 1) * 8)  # a map cannot be empty
     return np.frombuffer(buffer, dtype=np.float64, count=size).reshape(shape)
@@ -222,29 +233,3 @@ def _line_bound(path) -> int:
             lines -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split across reads
             last = chunk[-1:]
     return lines + (last not in (b"\n", b"\r"))
-
-
-def _parse_cells(path, skip_header: bool) -> np.ndarray:
-    rows: list[list[float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, record in enumerate(reader):
-            if skip_header and i == 0:
-                continue
-            if not record:
-                continue
-            parsed = []
-            for j, cell in enumerate(record):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvParseError(row=i + 1, col=j + 1) from None
-                if not np.isfinite(value):
-                    raise CsvParseError(
-                        row=i + 1, col=j + 1, message=f"non-finite value at row {i + 1}, column {j + 1}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise CsvParseError(row=0, col=0, message="ragged CSV: rows have differing lengths")
-    return np.asarray(rows, dtype=float)

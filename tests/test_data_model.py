@@ -139,20 +139,36 @@ def test_load_csv_rejects_non_finite(tmp_path):
 
 
 def test_load_csv_rejects_ragged_rows(tmp_path):
+    """The error names the first row whose width differs from the first's."""
     path = tmp_path / "data.csv"
     path.write_text("1,2,3\n4,5\n6,7,8\n")
-    with pytest.raises(CsvParseError):
+    with pytest.raises(CsvParseError) as err:
         load_csv(path)
+    assert (err.value.row, err.value.col) == (2, 0)
+    assert str(err.value) == "ragged row 2: 2 cells, not 3"
 
 
-def test_load_csv_fast_and_cell_paths_agree_bit_for_bit(tmp_path):
+def test_load_csv_reads_quoted_cells(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text('"1","2"\n3,4\n')
+    assert np.array_equal(load_csv(path).values, [[1, 2], [3, 4]])
+
+
+def test_load_csv_refuses_spellings_only_python_float_reads(tmp_path):
+    """np.loadtxt refuses 1_0; no cell is bad to float, so the error names
+    the rejected block's first row."""
+    path = tmp_path / "data.csv"
+    path.write_text("1_0,2\n3,4\n")
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path)
+    assert (err.value.row, err.value.col) == (1, 0)
+
+
+def test_load_csv_is_bit_exact_on_17_digit_values(tmp_path):
     rng = np.random.default_rng(12)
     data = rng.normal(size=(7, 30)) * 10.0 ** np.arange(-3, 4)[:, None]
     path = tmp_path / "data.csv"
     np.savetxt(path, data, fmt="%.17g", delimiter=",", header="h1,h2", comments="")
-    fast = data_model._loadtxt(path, skip_header=True)
-    assert fast is not None and np.array_equal(fast, data)
-    assert np.array_equal(data_model._parse_cells(path, skip_header=True), data)
     assert np.array_equal(load_csv(path, skip_header=True).values, data)
 
 
@@ -162,33 +178,32 @@ def test_load_csv_fast_and_cell_paths_agree_bit_for_bit(tmp_path):
         ("1,2,3\n4,#5,6\n", (2, 2)),  # '#' is a cell, not a comment
         ("1,nan\n3,4\n", (1, 2)),
         ("1,2\n   \n3,4\n", (2, 1)),  # a whitespace-only line is a bad cell
+        ("1,2\ninf,4\n3,5\n", (2, 1)),
     ],
 )
 def test_load_csv_fallback_keeps_located_errors(tmp_path, text, where):
+    """A rejected block's first bad cell is named by row, column and a
+    message that says whether it is unparseable or non-finite."""
     path = tmp_path / "data.csv"
     path.write_text(text)
-    assert data_model._loadtxt(path, skip_header=False) is None
-    with pytest.raises(CsvParseError) as fast:
+    with pytest.raises(CsvParseError) as err:
         load_csv(path)
-    with pytest.raises(CsvParseError) as cells:
-        data_model._parse_cells(path, skip_header=False)
-    assert (fast.value.row, fast.value.col) == where
-    assert (fast.value.row, fast.value.col, str(fast.value)) == (
-        cells.value.row, cells.value.col, str(cells.value)
+    row, col = where
+    kind = "non-finite" if "nan" in text or "inf" in text else "unparseable"
+    assert (err.value.row, err.value.col, str(err.value)) == (
+        row, col, f"{kind} value at row {row}, column {col}"
     )
 
 
-def test_load_csv_skips_blank_lines_on_both_paths(tmp_path):
+def test_load_csv_skips_blank_lines(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1,2\n\n3,4\n\n")
-    assert np.array_equal(data_model._loadtxt(path, skip_header=False), [[1, 2], [3, 4]])
-    assert np.array_equal(data_model._parse_cells(path, skip_header=False), [[1, 2], [3, 4]])
+    assert np.array_equal(load_csv(path).values, [[1, 2], [3, 4]])
 
 
-def test_load_csv_empty_file_falls_back_without_warning(tmp_path, recwarn):
+def test_load_csv_refuses_an_empty_file_without_warning(tmp_path, recwarn):
     path = tmp_path / "data.csv"
     path.write_text("\n")
-    assert data_model._loadtxt(path, skip_header=False) is None
     with pytest.raises(DimensionMismatch):
         load_csv(path)
     assert not recwarn.list
@@ -277,13 +292,15 @@ def test_a_dropped_source_gives_its_copy_back():
 
 
 def test_load_csv_keeps_the_parse_without_a_copy(tmp_path, monkeypatch):
+    """The rows go into one mapped array, which the source adopts."""
     path = tmp_path / "data.csv"
     path.write_text("1,2,3\n4,5,6\n")
-    parsed = []
-    real = data_model._loadtxt
-    monkeypatch.setattr(data_model, "_loadtxt", lambda *a: parsed.append(real(*a)) or parsed[-1])
+    mapped = []
+    real = data_model._mapped
+    monkeypatch.setattr(data_model, "_mapped", lambda *a: mapped.append(real(*a)) or mapped[-1])
     src = load_csv(path)
-    assert np.shares_memory(src.values, parsed[0]) and not src.values.flags.writeable
+    assert len(mapped) == 1
+    assert np.shares_memory(src.values, mapped[0]) and not src.values.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -294,7 +311,7 @@ def test_load_csv_row_bound_covers_every_line_ending(tmp_path, text, lines):
     path = tmp_path / "data.csv"
     path.write_bytes(text)
     assert data_model._line_bound(path) == lines
-    assert np.array_equal(data_model._loadtxt(path, skip_header=False), [[1, 2], [3, 4], [5, 6]])
+    assert np.array_equal(load_csv(path).values, [[1, 2], [3, 4], [5, 6]])
 
 
 @pytest.mark.parametrize(
@@ -306,17 +323,28 @@ def test_load_csv_row_bound_covers_every_line_ending(tmp_path, text, lines):
     ],
 )
 def test_load_csv_fast_path_across_blocks(tmp_path, monkeypatch, text, expect):
-    """Parsed a line or two per np.loadtxt call, the fast path still keeps
-    blank lines out and leaves a ragged or non-finite later row to the cell
-    parser."""
+    """Parsed a line or two per np.loadtxt call, load_csv still keeps blank
+    lines out and refuses a ragged or non-finite later row, naming it."""
     monkeypatch.setattr(data_model, "_BLOCK_CHARS", 4)
     path = tmp_path / "data.csv"
     path.write_text(text)
-    fast = data_model._loadtxt(path, skip_header=False)
     if expect is None:
-        assert fast is None
-        with pytest.raises(CsvParseError):
+        with pytest.raises(CsvParseError) as err:
             load_csv(path)
+        assert err.value.row == 3
     else:
-        assert np.array_equal(fast, expect)
-        assert np.array_equal(data_model._parse_cells(path, skip_header=False), expect)
+        assert np.array_equal(load_csv(path).values, expect)
+
+
+def test_load_csv_scans_only_the_rejected_block(tmp_path, monkeypatch):
+    """A bad cell in the last block is located from that block's lines."""
+    monkeypatch.setattr(data_model, "_BLOCK_CHARS", 4)
+    scanned = []
+    real = data_model._bad_cell
+    monkeypatch.setattr(data_model, "_bad_cell", lambda *a: scanned.append(a) or real(*a))
+    path = tmp_path / "data.csv"
+    path.write_text("1,2\n3,4\n5,6\n7,x\n")
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path)
+    assert (err.value.row, err.value.col) == (4, 2)
+    assert scanned == [(["7,x\n"], 4, 2)]

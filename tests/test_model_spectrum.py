@@ -22,7 +22,7 @@ from factorspec import (
     model_density_curve,
     planted_factor_matrix,
 )
-from factorspec import estimator, model_spectrum
+from factorspec import cli, estimator, model_spectrum
 from factorspec.model_spectrum import DEFAULT_NODES, _solve_many, bin_curve
 from factorspec.errors import ModelDensityError
 
@@ -111,9 +111,10 @@ def test_support_edges_equal_marchenko_pastur_at_b_zero():
         assert np.all(np.diff(nodes) > 0)
 
 
-def test_a_density_build_solves_the_support_once(monkeypatch):
-    """A cold cache curve and an epsilon > 0 curve each find [lo, hi] once:
-    the nodes' first and last values are the edges the density needs."""
+def test_a_density_build_solves_the_support_once(monkeypatch, tmp_path):
+    """A cold cache curve, an epsilon > 0 curve and a written curve each
+    find [lo, hi] once: the nodes' first and last values are the edges the
+    density needs."""
     calls = []
     real = model_spectrum._support
 
@@ -126,6 +127,8 @@ def test_a_density_build_solves_the_support_once(monkeypatch):
     assert len(calls) == 1
     model_density_curve(NoiseModelParams(b=0.4, c=C), np.linspace(0.0, 4.0, 50), 1e-4)
     assert len(calls) == 2
+    cli.run_spectrum(0.4, C, str(tmp_path / "curve.csv"))
+    assert len(calls) == 3
 
 
 def test_physical_root_reduces_to_mp_green_at_b_zero():
