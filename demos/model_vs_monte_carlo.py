@@ -40,7 +40,7 @@ def main():
         eigs = brute_force_spectrum(b=b, N=N, T=T, trials=50, seed=1)
         edges = shared_bin_edges(float(eigs.max()) * 1.05, C, bins=60)
         mc = density_from_eigenvalues(eigs, edges)
-        model = cache.masses(b, C, 1e-4, edges)
+        model = cache.masses((b,), C, 1e-4, edges).masses[0]
         d = js_divergence_masses(mc, model)
         print(f"\nb = {b}: JS(model, monte-carlo) = {d:.5f}")
         print("monte-carlo eigenvalue histogram:")

@@ -174,6 +174,11 @@ def run_detect(config: RunConfig) -> dict:
     timelines = []
     for seed in seeds:
         source = _source_for_run(config, seed)
+        if source.constant_rows:
+            raise ConfigError(
+                f"row {source.constant_rows[0]} is constant over the whole record, so "
+                f"every window would fail: drop the channel"
+            )
         if source.n >= config.window_length:
             # c >= 1 puts an atom of mass 1 - 1/c at 0, which the model leaves out
             raise ConfigError(

@@ -5,7 +5,7 @@ import csv
 import itertools
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,9 +51,11 @@ def _frozen_record(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RawDataSource:
-    """Full n x t measurement record; columns are consecutive samples."""
+    """Full n x t measurement record; columns are consecutive samples.
+    `constant_rows` lists the rows that hold one value throughout."""
 
     values: np.ndarray
+    constant_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_record(self.values))
@@ -63,8 +65,10 @@ class RawDataSource:
         if n < 2 or t < 2:
             raise DimensionMismatch(f"need at least 2x2 data, got {n}x{t}")
         # min and max propagate nan and reach inf, with no record-sized mask
-        if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
+        low, high = self.values.min(axis=1), self.values.max(axis=1)
+        if not (np.isfinite(low).all() and np.isfinite(high).all()):
             raise ValueError("source contains non-finite entries")
+        object.__setattr__(self, "constant_rows", tuple(np.flatnonzero(low == high).tolist()))
 
     @property
     def n(self) -> int:

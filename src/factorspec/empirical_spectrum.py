@@ -10,19 +10,42 @@ from .errors import EmptyBins
 logger = logging.getLogger(__name__)
 
 
-def density_from_eigenvalues(eigenvalues: np.ndarray, bin_edges: np.ndarray) -> np.ndarray:
+def density_from_eigenvalues(
+    eigenvalues: np.ndarray, bin_edges: np.ndarray, levels=None
+) -> np.ndarray:
     """(K,) masses of eigenvalues histogrammed onto K + 1 `bin_edges`,
-    clamping strays into the end bins."""
+    clamping strays into the end bins.
+
+    With `levels`, the eigenvalues are a descending spectrum, and row i of
+    the (len(levels), K) result holds the masses of that spectrum with its
+    top levels[i] eigenvalues replaced by zeros. Every eigenvalue is binned
+    once; each row moves its zeroed ones to the bin of 0 in integer counts,
+    divided by N last, so a row equals the histogram of its own zeroed
+    spectrum bit for bit. Strays are counted on the lowest level."""
     edges = np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 3:
         raise EmptyBins("need at least 2 bins (3 edges)")
+    if np.any(edges[1:] < edges[:-1]):
+        raise ValueError("bin edges must increase monotonically")
     vals = np.asarray(eigenvalues, dtype=float)
-    n_low = int(np.count_nonzero(vals < edges[0]))
-    n_high = int(np.count_nonzero(vals > edges[-1]))
+    zeroed = 0 if levels is None else min(levels)
+    kept = vals[zeroed:]
+    n_low = int(np.count_nonzero(kept < edges[0])) + zeroed * (0.0 < edges[0])
+    n_high = int(np.count_nonzero(kept > edges[-1])) + zeroed * (0.0 > edges[-1])
     if n_low or n_high:
         logger.warning(
             "clamped %d eigenvalue(s) below and %d above the bin range", n_low, n_high
         )
-    clipped = np.clip(vals, edges[0], edges[-1])
-    counts, _ = np.histogram(clipped, bins=edges)
-    return counts / vals.size
+    # np.histogram's rule, edges[j] <= x < edges[j + 1] with the last bin
+    # closed, and strays in the end bins: count the inner edges at or below x
+    inner = edges[1:-1]
+    bins = np.searchsorted(inner, vals, side="right")
+    k = len(edges) - 1
+    if levels is None:
+        return np.bincount(bins, minlength=k) / vals.size
+    levels = np.asarray(levels)
+    zero_bin = np.searchsorted(inner, 0.0, side="right")
+    rows = np.where(np.arange(vals.size) < levels[:, None], zero_bin, bins)
+    rows += k * np.arange(levels.size)[:, None]
+    counts = np.bincount(rows.ravel(), minlength=k * levels.size)
+    return counts.reshape(levels.size, k) / vals.size

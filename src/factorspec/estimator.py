@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import RawDataSource, StandardizedWindow, WindowSpec, cut_window, standardize
-from .divergence import js_divergence_masses
+from .divergence import js_divergence_masses, smooth
 from .empirical_spectrum import density_from_eigenvalues
 from .errors import (
     DimensionMismatch,
@@ -81,49 +81,85 @@ class RunAverage:
     run_count: int
 
 
+class ModelBlock:
+    """The binned model masses of one (c, epsilon, bins, edge span, b grid):
+    the b values whose density built, their (B, K) masses, and the `smooth`
+    terms that the divergence needs of those masses."""
+
+    def __init__(self, b_values, masses: np.ndarray):
+        self.b_values = tuple(b_values)
+        self.masses = masses
+        self.smoothed = smooth(masses)
+
+
 class ModelDensityCache:
-    """Model densities keyed by (b, c), binned per edge set.
+    """Model densities keyed by (b, c), binned per edge span into one block
+    per b grid.
 
     The exact density depends only on (b, c), so each is built once on its
     cosine nodes over the support (`default_lambda_grid`,
     `model_density_curve`) and kept. A density whose trapezoid mass on its
-    nodes is not within 1e-6 of 1 raises `ModelDensityError`, and a density
-    that fails to build is not cached. Binning applies epsilon as Cauchy
-    smoothing (`bin_curve`): no mass lies below 0, and mass past the last
-    edge folds into the last bin. Binned masses are memoized per (b, c,
-    epsilon, bins, edge span). Not thread-safe: share one cache only within
-    a thread.
+    nodes is not within 1e-6 of 1 raises `ModelDensityError`; the error is
+    kept too and raised again, so a failing b is built once. Binning applies
+    epsilon as Cauchy smoothing (`bin_curve`): no mass lies below 0, and
+    mass past the last edge folds into the last bin. A window looks up one
+    `ModelBlock` per (c, epsilon, bins, edge span, b grid), which holds the
+    smoothed masses and their entropy terms as well, so a warm window does
+    no model work at all. Not thread-safe: share one cache only within a
+    thread.
     """
 
     def __init__(self):
-        self._store: dict[tuple, np.ndarray] = {}
-        self._curves: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[tuple, ModelBlock | ModelDensityError] = {}
+        self._curves: dict[tuple, tuple[np.ndarray, np.ndarray] | ModelDensityError] = {}
 
     def curve(self, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
         """(nodes, exact density) of the model at (b, c)."""
         key = (round(b, 10), round(c, 12))
         hit = self._curves.get(key)
-        if hit is not None:
-            return hit
-        params = NoiseModelParams(b=b, c=c)
-        nodes = default_lambda_grid(params)
-        rho = model_density_curve(params, nodes, support=(nodes[0], nodes[-1]))
-        mass = float(np.trapezoid(rho, nodes))
-        if abs(mass - 1.0) > 1e-6:
-            raise ModelDensityError(f"model density at b={b}, c={c} has mass {mass}, not 1")
-        self._curves[key] = (nodes, rho)
-        return nodes, rho
+        if hit is None:
+            try:
+                hit = _exact_curve(b, c)
+            except ModelDensityError as exc:
+                hit = exc
+            self._curves[key] = hit
+        if isinstance(hit, ModelDensityError):
+            raise hit.with_traceback(None)
+        return hit
 
     def masses(
-        self, b: float, c: float, epsilon: float, bin_edges: np.ndarray
-    ) -> np.ndarray:
-        key = (round(b, 10), round(c, 12), epsilon, len(bin_edges), float(bin_edges[-1]))
-        hit = self._store.get(key)
-        if hit is not None:
-            return hit
-        masses = bin_curve(*self.curve(b, c), bin_edges, epsilon)
-        self._store[key] = masses
-        return masses
+        self, b_values: tuple[float, ...], c: float, epsilon: float, bin_edges: np.ndarray
+    ) -> ModelBlock:
+        """The block of `b_values` binned onto `bin_edges`, which start at 0.
+        A b whose density fails is left out of the block; if every b fails,
+        the last failure is raised."""
+        key = (tuple(b_values), round(c, 12), epsilon, len(bin_edges), float(bin_edges[-1]))
+        hit = self._blocks.get(key)
+        if hit is None:
+            built, rows = [], []
+            for b in b_values:
+                try:
+                    rows.append(bin_curve(*self.curve(b, c), bin_edges, epsilon))
+                except ModelDensityError as exc:
+                    hit = exc
+                    continue
+                built.append(b)
+            if built:
+                hit = ModelBlock(built, np.array(rows))
+            self._blocks[key] = hit
+        if isinstance(hit, ModelDensityError):
+            raise hit.with_traceback(None)
+        return hit
+
+
+def _exact_curve(b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+    params = NoiseModelParams(b=b, c=c)
+    nodes = default_lambda_grid(params)
+    rho = model_density_curve(params, nodes, support=(nodes[0], nodes[-1]))
+    mass = float(np.trapezoid(rho, nodes))
+    if abs(mass - 1.0) > 1e-6:
+        raise ModelDensityError(f"model density at b={b}, c={c} has mass {mass}, not 1")
+    return nodes, rho
 
 
 def _residual_eigenvalues(window: StandardizedWindow, p_values) -> np.ndarray:
@@ -138,28 +174,6 @@ def _residual_eigenvalues(window: StandardizedWindow, p_values) -> np.ndarray:
     if p_max > min(n, t):
         raise InvalidFactorCount(f"p={p_max} exceeds min(N, T)={min(n, t)}")
     return np.linalg.eigvalsh((x @ x.T) / t)[::-1]
-
-
-def _level_masses(
-    eigs: np.ndarray, p_values: list[int], base_masses: np.ndarray, edges: np.ndarray
-) -> np.ndarray:
-    """(P, K) empirical masses of every p-level spectrum, derived from the
-    histogram `base_masses` of the lowest level (top p_values[0] zeroed).
-
-    Each higher level moves its extra zeroed eigenvalues from their bins to
-    bin 0 (edges start at 0, so a zero always lands there). Counts stay
-    integers and are divided by N last, exactly as the histogram does."""
-    n = eigs.size
-    p0 = p_values[0]
-    moved = np.clip(eigs[p0 : p_values[-1]], edges[0], edges[-1])
-    # np.histogram's rule: edges[j] <= x < edges[j + 1], last bin closed
-    bins = np.minimum(np.searchsorted(edges, moved, side="right") - 1, len(edges) - 2)
-    removed = np.zeros((moved.size + 1, len(edges) - 1), dtype=np.int64)
-    removed[np.arange(1, moved.size + 1), bins] = 1
-    removed = np.cumsum(removed, axis=0)[[p - p0 for p in p_values]]
-    counts = np.rint(base_masses * n).astype(np.int64) - removed
-    counts[:, 0] += np.array(p_values) - p0
-    return counts / n
 
 
 def shared_bin_edges(emp_max: float, c: float, bins: int) -> np.ndarray:
@@ -193,25 +207,15 @@ def estimate_window(
     c = n / t
     eigs = _residual_eigenvalues(window, grid.p_values)
     p_values = sorted(grid.p_values)
-    base = eigs.copy()
-    base[: p_values[0]] = 0.0
-    edges = shared_bin_edges(float(base.max()), c, grid.bins)
-    emp_masses = _level_masses(eigs, p_values, density_from_eigenvalues(base, edges), edges)
-
-    b_values: list[float] = []
-    model_masses = []
-    last_error: FactorSpecError | None = None
-    for b in sorted(grid.b_values):
-        try:
-            model_masses.append(cache.masses(b, c, grid.epsilon, edges))
-        except FactorSpecError as exc:
-            last_error = exc
-            continue
-        b_values.append(b)
-    if not b_values:
-        raise GridExhausted(f"every (p, b) pair failed; last error: {last_error}")
-
-    surface = js_divergence_masses(emp_masses[:, None, :], np.stack(model_masses)[None, :, :])
+    # the largest eigenvalue of the lowest level, whose zeroed ones count as 0
+    edges = shared_bin_edges(float(eigs[p_values[0] :].max(initial=0.0)), c, grid.bins)
+    emp_masses = density_from_eigenvalues(eigs, edges, p_values)
+    try:
+        block = cache.masses(tuple(sorted(grid.b_values)), c, grid.epsilon, edges)
+    except FactorSpecError as exc:
+        raise GridExhausted(f"every (p, b) pair failed; last error: {exc}") from None
+    b_values = block.b_values
+    surface = js_divergence_masses(emp_masses[:, None, :], block.smoothed)
     first = int(np.argmax(surface <= surface.min() + 1e-15))  # row-major: p, then b
     i, j = divmod(first, len(b_values))
     kept = None

@@ -77,7 +77,7 @@ def test_criterion_2_free_probability_cross_check():
         edges = shared_bin_edges(float(mc_eigs.max()) * 1.05, C, bins=100)
         grid, rho = CACHE.curve(b, C)
         on_grid.append(float(np.trapezoid(rho, grid)))
-        model = CACHE.masses(b, C, EPSILON, edges)
+        model = CACHE.masses((b,), C, EPSILON, edges).masses[0]
         worst = max(worst, js_divergence_masses(density_from_eigenvalues(mc_eigs, edges), model))
     runtime = time.perf_counter() - started
     ok = worst < 0.05 and min(on_grid) >= 0.99 and runtime < 60.0

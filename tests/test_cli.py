@@ -105,9 +105,9 @@ def test_detect_rejects_p_max_above_window_rank(small_csv, tmp_path, capsys, mon
     assert not (tmp_path / "o").exists()
 
 
-def test_detect_fails_a_run_that_scores_no_window(tmp_path, capsys):
-    """A constant channel fails every window with DegenerateRow; the run
-    exits 4 and names the first failure, and writes nothing."""
+def test_detect_refuses_a_channel_constant_over_the_record(tmp_path, capsys):
+    """A constant channel is a configuration error that names its row, and
+    nothing is written."""
     x = generate_ar1(Ar1Spec(b=0.4, seed=3), N=40, T=600)
     x[5] = 1.0
     path = tmp_path / "flat.csv"
@@ -115,6 +115,24 @@ def test_detect_fails_a_run_that_scores_no_window(tmp_path, capsys):
     code = main(
         ["detect", "--input", str(path), "--output-dir", str(tmp_path / "o"),
          "--window-length", "120", "--stride", "20", "--p-max", "4"]
+    )
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ConfigError" and "row 5" in error["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_detect_fails_a_run_that_scores_no_window(tmp_path, capsys):
+    """A channel that is constant within every window, though not over the
+    record, fails every window with DegenerateRow; the run exits 4 and names
+    the first failure, and writes nothing."""
+    x = generate_ar1(Ar1Spec(b=0.4, seed=3), N=40, T=600)
+    x[5] = np.repeat(np.arange(5.0), 120)
+    path = tmp_path / "flat.csv"
+    np.savetxt(path, x, delimiter=",")
+    code = main(
+        ["detect", "--input", str(path), "--output-dir", str(tmp_path / "o"),
+         "--window-length", "120", "--stride", "120", "--p-max", "4"]
     )
     assert code == EXIT_PIPELINE
     error = json.loads(capsys.readouterr().err)

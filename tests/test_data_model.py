@@ -78,6 +78,14 @@ def test_source_rejects_non_finite():
             RawDataSource(values=bad)
 
 
+def test_source_names_rows_constant_over_the_record():
+    values = np.arange(24.0).reshape(4, 6)
+    values[1] = 2.5
+    values[3] = -1.0
+    values[2, 4] = values[2, 3]  # constant only in part of the row
+    assert RawDataSource(values=values).constant_rows == (1, 3)
+
+
 def test_source_rejects_an_empty_record():
     for values in ([], [[]], np.empty((0, 5))):
         with pytest.raises(DimensionMismatch):

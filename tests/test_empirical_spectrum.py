@@ -74,11 +74,13 @@ def test_factor_removal_zeroes_top_eigenvalues(window):
 
 
 def test_density_matches_reference_histogram():
+    """Bit for bit, with a value on every edge: edges[j] <= x < edges[j + 1],
+    the last bin closed."""
     rng = np.random.default_rng(5)
-    vals = rng.uniform(0.0, 4.0, size=200)
     edges = np.linspace(0.0, 4.0, 21)
+    vals = np.concatenate([rng.uniform(0.0, 4.0, size=200), edges])
     masses = density_from_eigenvalues(vals, edges)
-    assert np.allclose(masses, oracles.histogram_masses(vals, edges))
+    assert np.array_equal(masses, oracles.histogram_masses(vals, edges))
     assert masses.sum() == pytest.approx(1.0)
 
 
@@ -93,6 +95,11 @@ def test_density_clamps_strays_into_end_bins():
 def test_density_rejects_fewer_than_two_bins():
     with pytest.raises(EmptyBins):
         density_from_eigenvalues(np.array([0.5]), np.array([0.0, 1.0]))
+
+
+def test_density_rejects_decreasing_edges():
+    with pytest.raises(ValueError, match="monotonically"):
+        density_from_eigenvalues(np.array([0.5]), np.array([0.0, 2.0, 1.0, 3.0]))
 
 
 def test_empirical_density_consistent_with_direct_eigenvalues(window):

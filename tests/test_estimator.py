@@ -25,9 +25,10 @@ from factorspec import (
 from factorspec import estimator
 from factorspec.divergence import js_divergence_masses
 from factorspec.empirical_spectrum import density_from_eigenvalues
-from factorspec.estimator import _level_masses, _residual_eigenvalues, shared_bin_edges
+from factorspec.estimator import ModelBlock, _residual_eigenvalues, shared_bin_edges
 from factorspec.errors import (
     DimensionMismatch,
+    GridExhausted,
     IndexMismatch,
     InvalidFactorCount,
     ModelDensityError,
@@ -142,8 +143,7 @@ def test_level_masses_match_histograms_of_zeroed_spectra(p_values):
     eigs = np.sort(
         np.concatenate([[5.0, 4.0, 2.5, 2.5, 0.25], rng.uniform(0.0, 2.0, 30), [-1e-13]])
     )[::-1]
-    base = density_from_eigenvalues(zeroed(eigs, p_values[0]), edges)
-    derived = _level_masses(eigs, p_values, base, edges)
+    derived = density_from_eigenvalues(eigs, edges, p_values)
     assert derived.shape == (len(p_values), 20)
     for row, p in zip(derived, p_values):
         assert np.array_equal(row, density_from_eigenvalues(zeroed(eigs, p), edges))
@@ -156,13 +156,55 @@ def test_surface_equals_per_pair_scalar_loop():
     w = standardized(x)
     grid = small_grid()
     result = estimate_window(w, grid, cache=CACHE, keep_surface=True)
-    eigs = _residual_eigenvalues(w, grid.p_values)
-    edges = shared_bin_edges(float(eigs.max()), 0.5, grid.bins)
+    assert result.divergence_surface == per_pair_surface(w, grid, CACHE)[1]
+
+
+def per_pair_surface(window, grid, cache):
+    """The (p, b) surface scored one pair at a time: a histogram of each
+    zeroed spectrum, one per-b model lookup, and a scalar JS call."""
+    n, t = window.values.shape
+    eigs = _residual_eigenvalues(window, grid.p_values)
+    lowest = zeroed(eigs, min(grid.p_values))
+    edges = shared_bin_edges(float(lowest.max()), n / t, grid.bins)
+    surface = {}
     for b in grid.b_values:
-        model = CACHE.masses(b, 0.5, grid.epsilon, edges)
+        try:
+            model = cache.masses((b,), n / t, grid.epsilon, edges).masses[0]
+        except ModelDensityError:
+            continue
         for p in grid.p_values:
             emp = density_from_eigenvalues(zeroed(eigs, p), edges)
-            assert result.divergence_surface[(p, b)] == js_divergence_masses(emp, model)
+            surface[(p, b)] = js_divergence_masses(emp, model)
+    return edges[-1], surface
+
+
+def test_surface_equals_per_pair_route_across_grids_and_spans():
+    """Every kept surface entry equals the per-pair route exactly: for a
+    grid whose lowest p is above 0 and arrives unsorted, at c = 0.95 where
+    b = 0.95 fails, and with two grids on one cache, over windows on more
+    than one edge span."""
+    cache = ModelDensityCache()
+    grids = (
+        SearchGrid(p_values=(3, 1, 5), bins=37, epsilon=1e-4),
+        SearchGrid(p_values=(0, 1, 2), b_values=(0.2, 0.95, 0.5), bins=37, epsilon=1e-4),
+    )
+    quiet = generate_ar1(Ar1Spec(b=0.3, seed=45), N=95, T=100)
+    spiked = planted_factor_matrix(
+        PlantedFactorSpec(k=1, strength=30.0, seed=45), Ar1Spec(b=0.3), N=95, T=100
+    )
+    reference = ModelDensityCache()
+    spans = set()
+    for x in (quiet, spiked):
+        w = standardized(x)
+        for grid in grids:
+            result = estimate_window(w, grid, cache=cache, keep_surface=True)
+            span, want = per_pair_surface(w, grid, reference)
+            spans.add(span)
+            assert 0.95 not in {b for _, b in want}
+            assert result.divergence_surface.keys() == want.keys()
+            for pair, d in want.items():
+                assert result.divergence_surface[pair] == d, pair
+    assert len(spans) >= 2
 
 
 class UniformCache:
@@ -172,10 +214,12 @@ class UniformCache:
     def __init__(self, fail=()):
         self.fail = fail
 
-    def masses(self, b, c, epsilon, bin_edges):
-        if b in self.fail:
-            raise ModelDensityError(f"stub failure at b={b}")
-        return np.full(len(bin_edges) - 1, 1.0 / (len(bin_edges) - 1))
+    def masses(self, b_values, c, epsilon, bin_edges):
+        kept = [b for b in b_values if b not in self.fail]
+        if not kept:
+            raise ModelDensityError(f"stub failure at b={b_values[-1]}")
+        k = len(bin_edges) - 1
+        return ModelBlock(kept, np.full((len(kept), k), 1.0 / k))
 
 
 def test_tie_rule_picks_smallest_b_among_identical_models():
@@ -192,6 +236,23 @@ def test_tie_rule_picks_smallest_b_among_identical_models():
     skipped = estimate_window(w, grid, cache=UniformCache(fail=(0.0,)), keep_surface=True)
     assert skipped.b_hat == 0.2
     assert {b for _, b in skipped.divergence_surface} == {0.2, 0.4, 0.6}
+
+
+def test_a_grid_whose_every_b_fails_is_exhausted(monkeypatch):
+    """Every window on such a grid raises GridExhausted naming the last
+    failure, and the failing density is built once."""
+    built = []
+    real = estimator.model_density_curve
+    monkeypatch.setattr(
+        estimator, "model_density_curve", lambda *a, **kw: built.append(1) or real(*a, **kw)
+    )
+    cache = ModelDensityCache()
+    grid = small_grid(b_values=(0.95,))
+    for seed in (46, 47):
+        w = standardized(generate_ar1(Ar1Spec(b=0.3, seed=seed), N=95, T=100))
+        with pytest.raises(GridExhausted, match="b=0.95, c=0.95 has mass"):
+            estimate_window(w, grid, cache=cache)
+    assert len(built) == 1
 
 
 def test_tie_rule_picks_smallest_p_then_smallest_b(monkeypatch):
@@ -312,10 +373,10 @@ def test_detect_changes_parameter_validation():
 def test_cache_reuse_returns_identical_masses():
     cache = ModelDensityCache()
     edges = np.linspace(0.0, 4.0, 41)
-    first = cache.masses(0.3, 0.472, 1e-3, edges)
-    second = cache.masses(0.3, 0.472, 1e-3, edges)
+    first = cache.masses((0.3,), 0.472, 1e-3, edges)
+    second = cache.masses((0.3,), 0.472, 1e-3, edges)
     assert second is first
-    assert first.sum() == pytest.approx(1.0)
+    assert first.masses[0].sum() == pytest.approx(1.0)
 
 
 def test_cache_builds_one_curve_per_b_across_edge_spans(monkeypatch):
@@ -343,6 +404,36 @@ def test_cache_builds_one_curve_per_b_across_edge_spans(monkeypatch):
     assert sorted(built) == [0.0, 0.4]
 
 
+def test_cache_builds_a_failing_b_once(monkeypatch):
+    """At c = 0.95 the b = 0.95 density fails its node-mass check. A
+    stride-1 sweep builds every curve on its first window, the failing one
+    included, and none after."""
+    built = []
+    real = estimator.model_density_curve
+
+    def counting(params, grid, **kwargs):
+        built.append(params.b)
+        return real(params, grid, **kwargs)
+
+    per_window = []
+    real_estimate = estimator.estimate_window
+
+    def recording(*args, **kwargs):
+        before = len(built)
+        result = real_estimate(*args, **kwargs)
+        per_window.append(len(built) - before)
+        return result
+
+    monkeypatch.setattr(estimator, "model_density_curve", counting)
+    monkeypatch.setattr(estimator, "estimate_window", recording)
+    src = RawDataSource(values=generate_ar1(Ar1Spec(b=0.3, seed=44), N=95, T=106))
+    grid = SearchGrid(epsilon=1e-4)
+    tl = sweep(src, WindowSpec(N=95, T=100, stride=1), grid, cache=ModelDensityCache())
+    assert tl.failures == ()
+    assert per_window == [20, 0, 0, 0, 0, 0, 0]
+    assert built.count(0.95) == 1
+
+
 def _curve_and_params(b=0.3, c=0.472):
     params = estimator.NoiseModelParams(b=b, c=c)
     grid = estimator.default_lambda_grid(params)
@@ -353,7 +444,7 @@ def test_cache_masses_inside_support_equal_direct_binning():
     params, grid, rho = _curve_and_params()
     edges = np.linspace(0.0, 0.6 * grid[-1], 41)
     expected = estimator.bin_curve(grid, rho, edges, 1e-3)
-    got = ModelDensityCache().masses(params.b, params.c, 1e-3, edges)
+    got = ModelDensityCache().masses((params.b,), params.c, 1e-3, edges).masses[0]
     assert np.array_equal(got, expected)
 
 
@@ -362,8 +453,8 @@ def test_cache_masses_beyond_support_do_not_depend_on_span():
     cache = ModelDensityCache()
     narrow = np.linspace(0.0, 2.0 * grid[-1], 41)
     wide = np.linspace(0.0, 4.0 * grid[-1], 41)
-    m_narrow = cache.masses(0.3, 0.472, 1e-3, narrow)
-    m_wide = cache.masses(0.3, 0.472, 1e-3, wide)
+    m_narrow = cache.masses((0.3,), 0.472, 1e-3, narrow).masses[0]
+    m_wide = cache.masses((0.3,), 0.472, 1e-3, wide).masses[0]
     # no renormalization: both spans hold the node mass, which is 1 to 1e-6
     assert m_narrow.sum() == pytest.approx(m_wide.sum(), abs=1e-12)
     assert m_narrow.sum() == pytest.approx(1.0, abs=1e-6)
@@ -382,6 +473,6 @@ def test_cache_rejects_a_density_whose_mass_is_not_one():
     and that b fails as a window's failing b does."""
     cache = ModelDensityCache()
     with pytest.raises(ModelDensityError, match="mass 0.66666"):
-        cache.masses(0.3, 1.5, 1e-3, np.linspace(0.0, 8.0, 41))
+        cache.masses((0.3,), 1.5, 1e-3, np.linspace(0.0, 8.0, 41))
     with pytest.raises(ModelDensityError):
         cache.curve(0.3, 1.5)

@@ -313,7 +313,7 @@ def test_model_density_binned_matches_closed_form_cdf():
     cache = ModelDensityCache()
     grid, _ = cache.curve(0.0, C)
     edges = np.linspace(0.0, grid[-1], 51)
-    masses = cache.masses(0.0, C, 1e-4, edges)
+    masses = cache.masses((0.0,), C, 1e-4, edges).masses[0]
     lo, hi = oracles.mp_support(C)
     # compare binned masses against the closed-form MP integral per bin
     fine = np.linspace(lo, hi, 20001)
