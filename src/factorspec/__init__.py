@@ -46,6 +46,7 @@ from .model_spectrum import (
     NoiseModelParams,
     default_lambda_grid,
     model_density_curve,
+    smoothed_density,
 )
 
 __all__ = [
@@ -77,6 +78,7 @@ __all__ = [
     "load_csv",
     "model_density_curve",
     "planted_factor_matrix",
+    "smoothed_density",
     "standardize",
     "sweep",
     "synthesize_case",

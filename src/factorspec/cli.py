@@ -14,22 +14,24 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data_model import RawDataSource, WindowSpec, load_csv
+from .data_model import SIGMA_FLOOR, RawDataSource, WindowSpec, load_csv
 from .datagen import Ar1Spec, PlantedFactorSpec, case_schedule, synthesize_case
-from .errors import ConfigError, FactorSpecError, InvalidCoefficient, NoWindowScored
+from .errors import (
+    ConfigError,
+    FactorSpecError,
+    InvalidCoefficient,
+    ModelDensityError,
+    NoWindowScored,
+)
 from .estimator import (
     ModelDensityCache,
+    RunAverage,
     SearchGrid,
     average_runs,
     detect_changes,
     sweep,
 )
-from .model_spectrum import (
-    DEFAULT_B_MAX,
-    NoiseModelParams,
-    default_lambda_grid,
-    model_density_curve,
-)
+from .model_spectrum import DEFAULT_B_MAX, smoothed_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,9 +72,9 @@ class RunConfig:
             raise ConfigError("detect runs on one thread: workers must be 1")
 
     def validate(self) -> None:
-        """Raise ConfigError for a missing source or an out-of-range option.
-        The window geometry needs the source's row count, so `run_detect`
-        checks it, and the change rule, before its first write."""
+        """Raise ConfigError for a missing source or an out-of-range option;
+        `detect_changes` checks the change rule on an empty average. The window
+        geometry needs the source's row count, so `run_detect` checks it."""
         if (self.input_path is None) == (self.case is None):
             raise ConfigError("exactly one of --input or --case is required")
         if self.input_path is not None and not Path(self.input_path).exists():
@@ -86,6 +88,7 @@ class RunConfig:
         try:
             self.grid()
             Ar1Spec(b=self.noise_b)
+            detect_changes(RunAverage((), (), (), 0), threshold=self.threshold, hold=self.hold)
         except (ValueError, InvalidCoefficient) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -126,20 +129,23 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
     _atomic_write(path, write)
 
 
-def _write_curve(path: Path, params: NoiseModelParams, epsilon: float, points: int) -> None:
-    """The model density at width epsilon, at `points` even steps from 0 to
-    5% past the support's upper edge."""
-    lo, hi = default_lambda_grid(params, 2)
-    grid = np.linspace(0.0, 1.05 * hi, points)
-    rho = model_density_curve(params, grid, epsilon, support=(lo, hi))
-    _write_rows(path, ["lambda", "rho"], zip(grid, rho))
+def _write_curve(path: Path, curve, epsilon: float, points: int) -> None:
+    """A (nodes, exact density) curve smoothed at width epsilon, at `points`
+    even steps from 0 to 5% past the support's upper edge."""
+    nodes, rho = curve
+    grid = np.linspace(0.0, 1.05 * nodes[-1], points)
+    _write_rows(path, ["lambda", "rho"], zip(grid, smoothed_density(nodes, rho, grid, epsilon)))
 
 
-def _dump_model_densities(out: Path, grid: SearchGrid, c: float) -> None:
-    """One (lambda, rho) curve per b value, as `spectrum` writes it."""
+def _dump_model_densities(out: Path, grid: SearchGrid, c: float, cache: ModelDensityCache) -> None:
+    """One curve per b value from the run's cache, as `spectrum` writes it.
+    A b whose density fails gets no file, as it gets no row in a block."""
     for b in grid.b_values:
-        params = NoiseModelParams(b=b, c=c)
-        _write_curve(out / f"model_density_b{b:.2f}.csv", params, grid.epsilon, CURVE_POINTS)
+        try:
+            curve = cache.curve(b, c)
+        except ModelDensityError:
+            continue
+        _write_curve(out / f"model_density_b{b:.2f}.csv", curve, grid.epsilon, CURVE_POINTS)
 
 
 def _source_for_run(config: RunConfig, seed: int) -> RawDataSource:
@@ -176,8 +182,8 @@ def run_detect(config: RunConfig) -> dict:
         source = _source_for_run(config, seed)
         if source.constant_rows:
             raise ConfigError(
-                f"row {source.constant_rows[0]} is constant over the whole record, so "
-                f"every window would fail: drop the channel"
+                f"row {source.constant_rows[0]} is constant over the whole record (its "
+                f"range is at most {SIGMA_FLOOR}), so every window would fail: drop the channel"
             )
         if source.n >= config.window_length:
             # c >= 1 puts an atom of mass 1 - 1/c at 0, which the model leaves out
@@ -200,10 +206,7 @@ def run_detect(config: RunConfig) -> dict:
         timelines.append(timeline)
     elapsed = time.perf_counter() - started
     avg = average_runs(timelines)
-    try:
-        annotations = detect_changes(avg, threshold=config.threshold, hold=config.hold)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    annotations = detect_changes(avg, threshold=config.threshold, hold=config.hold)
 
     for k, tl in enumerate(timelines):
         _write_rows(
@@ -223,7 +226,7 @@ def run_detect(config: RunConfig) -> dict:
             )
     if config.dump_densities:
         # every run's source has the same row count N
-        _dump_model_densities(out, grid, source.n / config.window_length)
+        _dump_model_densities(out, grid, source.n / config.window_length, cache)
     _write_rows(
         out / "run_average.csv",
         ["end_index", "p_ave", "b_ave"],
@@ -255,19 +258,18 @@ def run_detect(config: RunConfig) -> dict:
 def run_spectrum(
     b: float, c: float, output: str, epsilon: float = 1e-3, points: int = CURVE_POINTS
 ) -> None:
-    """Write the (lambda, rho) model density curve as CSV."""
+    """Write the (lambda, rho) model density curve as CSV: the density that
+    `ModelDensityCache.curve` builds and checks, smoothed at width epsilon.
+    A density that fails its check raises ModelDensityError."""
     if points < 2:
         raise ConfigError("points must be >= 2")
-    if not epsilon > 0:
-        raise ConfigError("epsilon must be positive")
     if c >= 1:
         # c >= 1 puts an atom of mass 1 - 1/c at 0, which the model leaves out
         raise ConfigError(f"aspect ratio c = {c} must be below 1")
-    try:
-        params = NoiseModelParams(b=b, c=c)
+    try:  # an out-of-range b, c or epsilon
+        _write_curve(Path(output), ModelDensityCache().curve(b, c), epsilon, points)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _write_curve(Path(output), params, epsilon, points)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -49,10 +49,14 @@ def _frozen_record(values) -> np.ndarray:
     return arr
 
 
+SIGMA_FLOOR = 1e-12  # a row whose standard deviation is at most this is constant
+
+
 @dataclass(frozen=True)
 class RawDataSource:
     """Full n x t measurement record; columns are consecutive samples.
-    `constant_rows` lists the rows that hold one value throughout."""
+    `constant_rows` lists the rows whose range is at most SIGMA_FLOOR, so
+    that every window's std is too (it is at most half the range)."""
 
     values: np.ndarray
     constant_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -68,7 +72,8 @@ class RawDataSource:
         low, high = self.values.min(axis=1), self.values.max(axis=1)
         if not (np.isfinite(low).all() and np.isfinite(high).all()):
             raise ValueError("source contains non-finite entries")
-        object.__setattr__(self, "constant_rows", tuple(np.flatnonzero(low == high).tolist()))
+        flat = np.flatnonzero(high - low <= SIGMA_FLOOR)
+        object.__setattr__(self, "constant_rows", tuple(flat.tolist()))
 
     @property
     def n(self) -> int:
@@ -128,9 +133,6 @@ def cut_window(source: RawDataSource, spec: WindowSpec, end_index: int) -> RawWi
         )
     block = source.values[:, end_index - spec.T : end_index]
     return RawWindow(values=block, end_index=end_index)
-
-
-SIGMA_FLOOR = 1e-12  # a row whose standard deviation is at most this is constant
 
 
 def standardize(window: RawWindow) -> StandardizedWindow:

@@ -98,15 +98,16 @@ class ModelDensityCache:
 
     The exact density depends only on (b, c), so each is built once on its
     cosine nodes over the support (`default_lambda_grid`,
-    `model_density_curve`) and kept. A density whose trapezoid mass on its
-    nodes is not within 1e-6 of 1 raises `ModelDensityError`; the error is
-    kept too and raised again, so a failing b is built once. Binning applies
-    epsilon as Cauchy smoothing (`bin_curve`): no mass lies below 0, and
-    mass past the last edge folds into the last bin. A window looks up one
-    `ModelBlock` per (c, epsilon, bins, edge span, b grid), which holds the
-    smoothed masses and their entropy terms as well, so a warm window does
-    no model work at all. Not thread-safe: share one cache only within a
-    thread.
+    `model_density_curve`) and kept: windows bin it, and `spectrum` and
+    `--dump-densities` write it smoothed (`smoothed_density`). A density
+    whose trapezoid mass on its nodes is not within 1e-6 of 1 raises
+    `ModelDensityError`; the error is kept too and raised again, so a
+    failing b is built once. Binning applies epsilon as Cauchy smoothing
+    (`bin_curve`): no mass lies below 0, and mass past the last edge folds
+    into the last bin. A window looks up one `ModelBlock` per (c, epsilon,
+    bins, edge span, b grid), which holds the smoothed masses and their
+    entropy terms as well, so a warm window does no model work at all. Not
+    thread-safe: share one cache only within a thread.
     """
 
     def __init__(self):

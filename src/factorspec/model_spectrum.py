@@ -9,8 +9,8 @@ branch to track. The support [lo, hi] is bounded by the positive real roots
 of the quartic's discriminant in z, which are Marchenko-Pastur's
 (1 -+ sqrt c)^2 at b = 0. The density is built on cosine-spaced nodes over
 the support and taken as piecewise linear between them. The width epsilon
-convolves it with a Cauchy kernel; for a piecewise-linear density the
-smoothed CDF has a closed form, which `bin_curve` bins.
+convolves it with a Cauchy kernel; for a piecewise-linear density the smoothed
+CDF and its derivative have closed forms (`bin_curve`, `smoothed_density`).
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ DEFAULT_NODES = 2049
 # The Cauchy smoothing sums over every 8th node, 257 of the default 2049:
 # a kernel term per bin edge and node is what binning a new span costs.
 _TAIL_STEP = 8
+_ROOT_TOL = 1e-12  # the relative backward error that `_is_root` accepts
 
 
 @dataclass(frozen=True)
@@ -45,37 +46,29 @@ class NoiseModelParams:
             raise ValueError(f"aspect ratio c={self.c} must be finite and positive")
 
 
-def _per_root(coeffs: np.ndarray) -> np.ndarray:
-    """(5, 4n) coefficients lined up with the roots (n, 4) raveled: same-shape
-    operands keep numpy's per-call cost low when n is 1."""
-    return np.repeat(coeffs.T, 4, axis=1)
-
-
 def _newton_refine(m: np.ndarray, coeffs: np.ndarray, steps: int = 2) -> np.ndarray:
     """Polish roots m (n, 4) with Newton steps on the quartic rows coeffs
     (n, 5), highest degree first. A zero derivative makes the root
     non-finite: call it under np.errstate."""
-    c4, c3, c2, c1, c0 = _per_root(coeffs)
+    c4, c3, c2, c1, c0 = coeffs.T[:, :, None]
     d3, d2, d1 = 4.0 * c4, 3.0 * c3, 2.0 * c2
-    x = m.ravel()
     for _ in range(steps):
-        p = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
-        dp = ((d3 * x + d2) * x + d1) * x + c1
-        x = x - p / dp
-    return x.reshape(m.shape)
+        p = (((c4 * m + c3) * m + c2) * m + c1) * m + c0
+        dp = ((d3 * m + d2) * m + d1) * m + c1
+        m = m - p / dp
+    return m
 
 
-def _is_root(m: np.ndarray, coeffs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """|P(m)| <= tol * sum_k |c_k| |m|^k for roots m (n, 4) of the quartic
-    rows coeffs (n, 5): m is an exact root of a quartic whose coefficients
-    differ from P's by a relative tol at most."""
-    c4, c3, c2, c1, c0 = _per_root(coeffs)
-    a4, a3, a2, a1, a0 = _per_root(np.abs(coeffs))
-    x = m.ravel()
-    r = np.abs(x)
-    value = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
+def _is_root(m: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """|P(m)| <= _ROOT_TOL * sum_k |c_k| |m|^k for roots m (n, 4) of the
+    quartic rows coeffs (n, 5): m is an exact root of a quartic whose
+    coefficients differ from P's by a relative _ROOT_TOL at most."""
+    c4, c3, c2, c1, c0 = coeffs.T[:, :, None]
+    a4, a3, a2, a1, a0 = np.abs(coeffs).T[:, :, None]
+    r = np.abs(m)
+    value = (((c4 * m + c3) * m + c2) * m + c1) * m + c0
     scale = (((a4 * r + a3) * r + a2) * r + a1) * r + a0
-    return (np.abs(value) <= tol * scale).reshape(m.shape)
+    return np.abs(value) <= _ROOT_TOL * scale
 
 
 _CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3.0 * np.arange(3))
@@ -199,43 +192,24 @@ def default_lambda_grid(
     """Cosine-spaced nodes over the support [lo, hi], denser toward both
     edges: lo + (hi - lo) (1 - cos(pi u)) / 2 for u evenly spaced in [0, 1].
     The first and last nodes are the edges themselves."""
-    return _cosine_nodes(*_support(params), n_points)
-
-
-def _cosine_nodes(lo: float, hi: float, n_points: int) -> np.ndarray:
+    lo, hi = _support(params)
     nodes = lo + 0.5 * (hi - lo) * (1.0 - np.cos(np.linspace(0.0, np.pi, n_points)))
     nodes[-1] = hi
     return nodes
 
 
 def model_density_curve(
-    params: NoiseModelParams,
-    lambda_grid,
-    epsilon: float = 0.0,
-    support: tuple[float, float] | None = None,
+    params: NoiseModelParams, lambda_grid, support: tuple[float, float] | None = None
 ) -> np.ndarray:
-    """The model density at each lambda of a grid.
-
-    With epsilon = 0 it is exact: inside the support the quartic has one
-    complex-conjugate pair of roots M, and the density is the one positive
-    value of -Im((M + 1) / lambda) / pi among the four roots; outside the
-    support it is 0. With epsilon > 0 it is the density, taken as piecewise
-    linear on the default nodes, convolved with a Cauchy kernel of width
-    epsilon: the derivative of the CDF that `bin_curve` bins.
+    """The exact model density at each lambda of a grid. Inside the support
+    the quartic has one complex-conjugate pair of roots M, and the density
+    is the one positive value of -Im((M + 1) / lambda) / pi among the four
+    roots; outside the support it is 0.
 
     `support` is the model's [lo, hi] when the caller has it already, as the
     first and last of `default_lambda_grid`'s nodes; it is solved otherwise."""
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be nonnegative")
     x = np.asarray(lambda_grid, dtype=float)
     lo, hi = _support(params) if support is None else support
-    if epsilon > 0:
-        nodes = _cosine_nodes(lo, hi, DEFAULT_NODES)
-        rho = model_density_curve(params, nodes, support=(lo, hi))
-        knots, jumps = _tail(nodes, rho)
-        return np.interp(x, nodes, rho) + epsilon * (
-            _density_kernel((x[:, None] - knots) / epsilon) @ jumps
-        )
     inside = (x > lo) & (x < hi)
     roots, _ = _solve_many(x[inside], params.b, params.c)
     rho = np.zeros_like(x)
@@ -268,6 +242,22 @@ def _density_kernel(u: np.ndarray) -> np.ndarray:
     """I(u) = K'(u) = -(a atan(1 / a) + ln(1 + a^2) / 2) / pi with a = |u|."""
     a = np.abs(u)
     return -(a * np.arctan2(1.0, a) + 0.5 * np.log(1.0 + a * a)) / math.pi
+
+
+def smoothed_density(
+    nodes: np.ndarray, rho: np.ndarray, lambda_grid, epsilon: float
+) -> np.ndarray:
+    """A density rho, piecewise linear on ascending nodes and 0 at both ends,
+    convolved with a Cauchy kernel of width epsilon > 0, at each lambda of a
+    grid: rho(x) + eps sum_j s_j I((x - lambda_j) / eps) over the `_tail`
+    knots, the derivative of the CDF that `bin_curve` bins."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    x = np.asarray(lambda_grid, dtype=float)
+    knots, jumps = _tail(nodes, rho)
+    return np.interp(x, nodes, rho) + epsilon * (
+        _density_kernel((x[:, None] - knots) / epsilon) @ jumps
+    )
 
 
 def bin_curve(

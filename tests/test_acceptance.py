@@ -15,7 +15,6 @@ from conftest import record_verdict
 from factorspec import (
     Ar1Spec,
     ModelDensityCache,
-    NoiseModelParams,
     PlantedFactorSpec,
     SearchGrid,
     StandardizedWindow,
@@ -28,8 +27,8 @@ from factorspec import (
     estimate_window,
     generate_ar1,
     js_divergence_masses,
-    model_density_curve,
     planted_factor_matrix,
+    smoothed_density,
     sweep,
     synthesize_case,
 )
@@ -49,9 +48,9 @@ def standardized(x):
 def test_criterion_1_marchenko_pastur_reduction():
     lo, hi = oracles.mp_support(C)
     grid = np.linspace(0.0, hi * 1.2, 2000)
-    params = NoiseModelParams(b=0.0, c=C)
     started = time.perf_counter()
-    rho = model_density_curve(params, grid, epsilon=EPSILON)
+    nodes, exact = ModelDensityCache().curve(0.0, C)
+    rho = smoothed_density(nodes, exact, grid, EPSILON)
     runtime = time.perf_counter() - started
     interior = (grid > lo + 0.05) & (grid < hi - 0.05)
     sup_err = float(np.max(np.abs(rho[interior] - oracles.mp_density(grid[interior], C))))

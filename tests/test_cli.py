@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from factorspec import Ar1Spec, SearchGrid, generate_ar1
-from factorspec import cli
+from factorspec import cli, model_spectrum
 from factorspec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, RunConfig, main
 from factorspec.errors import ConfigError
 
@@ -107,19 +107,22 @@ def test_detect_rejects_p_max_above_window_rank(small_csv, tmp_path, capsys, mon
 
 def test_detect_refuses_a_channel_constant_over_the_record(tmp_path, capsys):
     """A constant channel is a configuration error that names its row, and
-    nothing is written."""
+    nothing is written. So is a channel whose range is within SIGMA_FLOOR,
+    since every window of it fails `standardize`."""
     x = generate_ar1(Ar1Spec(b=0.4, seed=3), N=40, T=600)
-    x[5] = 1.0
-    path = tmp_path / "flat.csv"
-    np.savetxt(path, x, delimiter=",")
-    code = main(
-        ["detect", "--input", str(path), "--output-dir", str(tmp_path / "o"),
-         "--window-length", "120", "--stride", "20", "--p-max", "4"]
-    )
-    assert code == EXIT_CONFIG
-    error = json.loads(capsys.readouterr().err)
-    assert error["error"] == "ConfigError" and "row 5" in error["message"]
-    assert not (tmp_path / "o").exists()
+    noise = np.random.default_rng(5).standard_normal(600)
+    for row in (1.0, 1.0 + 1e-14 * noise):
+        x[5] = row
+        path = tmp_path / "flat.csv"
+        np.savetxt(path, x, delimiter=",")
+        code = main(
+            ["detect", "--input", str(path), "--output-dir", str(tmp_path / "o"),
+             "--window-length", "120", "--stride", "20", "--p-max", "4"]
+        )
+        assert code == EXIT_CONFIG
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError" and "row 5" in error["message"]
+        assert not (tmp_path / "o").exists()
 
 
 def test_detect_fails_a_run_that_scores_no_window(tmp_path, capsys):
@@ -176,6 +179,37 @@ def test_dump_densities_reads_the_input_once(small_csv, tmp_path, monkeypatch):
     args = ["spectrum", "--b", "0.45", "--c", repr(20 / 30), "--output", str(curve)]
     assert main(args) == EXIT_OK
     assert (out / "model_density_b0.45.csv").read_bytes() == curve.read_bytes()
+
+
+def test_dump_densities_builds_no_density_of_its_own(tmp_path, monkeypatch):
+    """The dumped curves are the run's cached densities: the flag solves no
+    support that the run without it does not."""
+    calls = []
+    real = model_spectrum._support
+    monkeypatch.setattr(
+        model_spectrum, "_support", lambda params: calls.append(params) or real(params)
+    )
+    counts = []
+    for name, extra in (("plain", []), ("dumped", ["--dump-densities"])):
+        calls.clear()
+        assert run_case(tmp_path / name, extra) == EXIT_OK
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 3
+    assert len(list((tmp_path / "dumped").glob("model_density_b*.csv"))) == 3
+
+
+def test_dump_densities_skips_a_b_whose_density_fails(tmp_path):
+    """At c = 95 / 100 the b = 0.95 density fails its node-mass check, so
+    the run scores without that b and dumps no curve for it."""
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, generate_ar1(Ar1Spec(b=0.3, seed=44), N=95, T=200), delimiter=",")
+    out = tmp_path / "out"
+    code = main(
+        ["detect", "--input", str(path), "--output-dir", str(out), "--window-length", "100",
+         "--stride", "50", "--p-max", "2", "--b-step", "0.95", "--dump-densities"]
+    )
+    assert code == EXIT_OK
+    assert sorted(p.name for p in out.glob("model_density_b*.csv")) == ["model_density_b0.00.csv"]
 
 
 def test_default_grid_reaches_b_max():
@@ -257,9 +291,14 @@ def test_detect_requires_exactly_one_source(small_csv):
     ],
     ids=" ".join,
 )
-def test_detect_rejects_out_of_range_options(flags, tmp_path, capsys):
+def test_detect_rejects_out_of_range_options(flags, tmp_path, capsys, monkeypatch):
+    """Each is refused before the first sweep, the change rule included."""
+    swept = []
+    real = cli.sweep
+    monkeypatch.setattr(cli, "sweep", lambda *a, **kw: swept.append(a) or real(*a, **kw))
     assert run_case(tmp_path / "o", flags) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert swept == []
     assert not (tmp_path / "o").exists()
 
 
@@ -281,6 +320,16 @@ def test_spectrum_writes_curve(tmp_path):
     assert np.all(np.diff(lam) > 0)
     assert np.all(rho >= 0)
     assert np.trapezoid(rho, lam) == pytest.approx(1.0, abs=0.02)
+
+
+def test_spectrum_refuses_a_density_that_fails_its_mass_check(tmp_path, capsys):
+    """At c = 0.95 the b = 0.95 density's node mass is off 1 by more than
+    1e-6: `spectrum` writes it no more than the estimator bins it."""
+    out = tmp_path / "curve.csv"
+    assert main(["spectrum", "--b", "0.95", "--c", "0.95", "--output", str(out)]) == EXIT_PIPELINE
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ModelDensityError" and "has mass" in error["message"]
+    assert not out.exists()
 
 
 def test_spectrum_rejects_bad_params(tmp_path, capsys):

@@ -79,11 +79,13 @@ def test_source_rejects_non_finite():
 
 
 def test_source_names_rows_constant_over_the_record():
+    """Constant rows and rows whose range is within SIGMA_FLOOR."""
     values = np.arange(24.0).reshape(4, 6)
+    values[0] = 1.0 + 1e-14 * np.arange(6)
     values[1] = 2.5
     values[3] = -1.0
     values[2, 4] = values[2, 3]  # constant only in part of the row
-    assert RawDataSource(values=values).constant_rows == (1, 3)
+    assert RawDataSource(values=values).constant_rows == (0, 1, 3)
 
 
 def test_source_rejects_an_empty_record():

@@ -21,6 +21,7 @@ from factorspec import (
     generate_ar1,
     model_density_curve,
     planted_factor_matrix,
+    smoothed_density,
 )
 from factorspec import cli, estimator, model_spectrum
 from factorspec.model_spectrum import DEFAULT_NODES, _solve_many, bin_curve
@@ -69,9 +70,9 @@ def test_roots_satisfy_the_polynomial():
 PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
 
 
-def solved_points(monkeypatch, params, epsilon):
-    """Every z solved to build the exact density on its nodes and the
-    smoothed curve on a grid past the support."""
+def solved_points(monkeypatch, b, c):
+    """Every z solved to build the exact density on its nodes: the only
+    solve the program makes, since a written curve smooths that density."""
     batches = []
     real_solve = model_spectrum._solve_many
 
@@ -81,9 +82,7 @@ def solved_points(monkeypatch, params, epsilon):
 
     with monkeypatch.context() as m:
         m.setattr(model_spectrum, "_solve_many", recording)
-        nodes = default_lambda_grid(params)
-        model_density_curve(params, nodes)
-        model_density_curve(params, np.linspace(0.0, 1.5 * nodes[-1], 300), epsilon)
+        exact_curve(b, c)
     return np.concatenate(batches)
 
 
@@ -91,15 +90,15 @@ def solved_points(monkeypatch, params, epsilon):
 def test_solver_matches_companion_reference(c, monkeypatch):
     """Ferrari plus fallback gives the companion-matrix roots, root for
     root, to 1e-10 relative, at every z that a density build solves."""
-    for b, epsilon in itertools.product((0.0, 0.5, 0.9, 0.95), (1e-3, 1e-4)):
-        zs = solved_points(monkeypatch, NoiseModelParams(b=b, c=c), epsilon)
-        assert zs.size >= 2 * (DEFAULT_NODES - 2)
+    for b in (0.0, 0.5, 0.9, 0.95):
+        zs = solved_points(monkeypatch, b, c)
+        assert zs.size >= DEFAULT_NODES - 2
         roots, coeffs = _solve_many(zs, b, c)
         want = oracles.companion_roots(coeffs)
         # the best pairing of the four roots, row by row
         rel = np.abs(roots[:, PERMUTATIONS] - want[:, None, :]) / np.abs(want[:, None, :])
         worst = rel.max(axis=2).min(axis=1)
-        assert worst.max() < 1e-10, (b, c, epsilon, zs[np.argmax(worst)])
+        assert worst.max() < 1e-10, (b, c, zs[np.argmax(worst)])
 
 
 def test_support_edges_equal_marchenko_pastur_at_b_zero():
@@ -112,9 +111,9 @@ def test_support_edges_equal_marchenko_pastur_at_b_zero():
 
 
 def test_a_density_build_solves_the_support_once(monkeypatch, tmp_path):
-    """A cold cache curve, an epsilon > 0 curve and a written curve each
-    find [lo, hi] once: the nodes' first and last values are the edges the
-    density needs."""
+    """A cold cache curve and a written curve each find [lo, hi] once, and
+    smoothing a curve finds it never: the nodes' first and last values are
+    the edges the density needs."""
     calls = []
     real = model_spectrum._support
 
@@ -123,12 +122,12 @@ def test_a_density_build_solves_the_support_once(monkeypatch, tmp_path):
         return real(params)
 
     monkeypatch.setattr(model_spectrum, "_support", counting)
-    ModelDensityCache().curve(0.4, C)
+    nodes, rho = ModelDensityCache().curve(0.4, C)
     assert len(calls) == 1
-    model_density_curve(NoiseModelParams(b=0.4, c=C), np.linspace(0.0, 4.0, 50), 1e-4)
-    assert len(calls) == 2
+    smoothed_density(nodes, rho, np.linspace(0.0, 4.0, 50), 1e-4)
+    assert len(calls) == 1
     cli.run_spectrum(0.4, C, str(tmp_path / "curve.csv"))
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_physical_root_reduces_to_mp_green_at_b_zero():
@@ -212,11 +211,11 @@ def test_smoothed_curve_matches_reference_walk():
     the walked value past the support (the Cauchy tail). The gap is the
     piecewise-linear density and its coarser smoothing knots."""
     for b, epsilon in itertools.product((0.0, 0.5, 0.9), (1e-3, 1e-4)):
-        params = NoiseModelParams(b=b, c=C)
-        hi = default_lambda_grid(params, 2)[-1]
+        nodes, rho = exact_curve(b, C)
+        hi = nodes[-1]
         grid = np.linspace(0.0, 1.3 * hi, 700)
         want = oracles.walked_density(b, C, epsilon, grid)
-        got = model_density_curve(params, grid, epsilon)
+        got = smoothed_density(nodes, rho, grid, epsilon)
         assert np.max(np.abs(got - want)) <= 2e-3 * want.max(), (b, epsilon)
         past = grid > 1.01 * hi
         assert np.max(np.abs(got[past] / want[past] - 1.0)) <= 5e-4, (b, epsilon)
@@ -253,10 +252,9 @@ def test_estimates_do_not_depend_on_the_node_count(monkeypatch):
 
 
 def test_mp_reduction_curve():
-    params = NoiseModelParams(b=0.0, c=C)
     lo, hi = oracles.mp_support(C)
     lam = np.linspace(lo + 0.1, hi - 0.1, 300)
-    rho = model_density_curve(params, lam, epsilon=1e-4)
+    rho = smoothed_density(*exact_curve(0.0, C), lam, 1e-4)
     assert np.max(np.abs(rho - oracles.mp_density(lam, C))) < 5e-3
 
 
@@ -271,10 +269,17 @@ def test_model_density_mass_and_mean():
 
 
 def test_model_density_curve_nonnegative():
-    params = NoiseModelParams(b=0.6, c=C)
-    grid = np.linspace(0.0, 3.0 * default_lambda_grid(params, 2)[-1], 400)
-    rho = model_density_curve(params, grid, epsilon=1e-3)
+    nodes, exact = exact_curve(0.6, C)
+    grid = np.linspace(0.0, 3.0 * nodes[-1], 400)
+    rho = smoothed_density(nodes, exact, grid, 1e-3)
     assert np.all(rho >= 0.0)
+
+
+def test_smoothing_needs_a_positive_width():
+    nodes, rho = exact_curve(0.3, C)
+    for epsilon in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            smoothed_density(nodes, rho, nodes, epsilon)
 
 
 def test_support_widens_with_b():
