@@ -13,8 +13,8 @@ estimates, and flag the change point. Expected behavior:
     again, per-row standardization absorbs it, and p_ave falls back to 0,
     producing a matching downward flag about T samples after the event.
 
-Run from the repository root (takes a minute; the model densities are
-cached after the first window):
+Run from the repository root (a second or two on 2 cores; the model
+densities are built on the first window and cached):
 
     python demos/case1_walkthrough.py
 """

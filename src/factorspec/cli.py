@@ -38,6 +38,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_PIPELINE = 4
 CURVE_POINTS = 2000  # points of a written model density curve
+B_STEP_MIN = 0.001  # the finest b grid: 951 values from 0 to DEFAULT_B_MAX
 
 
 @dataclass
@@ -71,10 +72,13 @@ class RunConfig:
         if workers != 1:
             raise ConfigError("detect runs on one thread: workers must be 1")
 
-    def validate(self) -> None:
-        """Raise ConfigError for a missing source or an out-of-range option;
-        `detect_changes` checks the change rule on an empty average. The window
-        geometry needs the source's row count, so `run_detect` checks it."""
+    def validate(self) -> SearchGrid:
+        """Return the run's search grid, or raise ConfigError for a missing
+        source or an out-of-range option, before any record is read. Each
+        rule is checked by its own owner: the grid by `SearchGrid`, the change
+        rule by `detect_changes` on an empty average, and the window geometry
+        by `WindowSpec` at the smallest row count, N = 2. The rules that need
+        the record's N (c = N / T < 1, p_max <= N) are `run_detect`'s."""
         if (self.input_path is None) == (self.case is None):
             raise ConfigError("exactly one of --input or --case is required")
         if self.input_path is not None and not Path(self.input_path).exists():
@@ -85,10 +89,16 @@ class RunConfig:
             raise ConfigError("--runs > 1 needs --case: a CSV holds one realization")
         if not self.b_step > 0:
             raise ConfigError("b_step must be positive")
+        if self.b_step < B_STEP_MIN:
+            raise ConfigError(
+                f"b_step = {self.b_step} would search {round(DEFAULT_B_MAX / self.b_step) + 1} "
+                f"b values: it must be at least {B_STEP_MIN}"
+            )
         try:
-            self.grid()
+            WindowSpec(N=2, T=self.window_length, stride=self.stride)
             Ar1Spec(b=self.noise_b)
             detect_changes(RunAverage((), (), (), 0), threshold=self.threshold, hold=self.hold)
+            return self.grid()
         except (ValueError, InvalidCoefficient) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -170,9 +180,8 @@ def _no_window_message(timeline, t: int, window_length: int) -> str:
 
 def run_detect(config: RunConfig) -> dict:
     """Execute the full detection pipeline and write artifacts; returns the report."""
-    config.validate()
+    grid = config.validate()
     out = Path(config.output_dir)
-    grid = config.grid()
     cache = ModelDensityCache()
     seeds = [config.seed + k for k in range(config.runs)]
 
@@ -191,15 +200,11 @@ def run_detect(config: RunConfig) -> dict:
                 f"aspect ratio c = N / T = {source.n} / {config.window_length} must be "
                 f"below 1: use a window longer than {source.n} samples"
             )
-        rank = min(source.n, config.window_length)
-        if config.p_max > rank:
+        if config.p_max > source.n:  # N < T, so N is the window's rank
             raise ConfigError(
-                f"p_max = {config.p_max} exceeds the window's rank min(N, T) = {rank}"
+                f"p_max = {config.p_max} exceeds the window's rank min(N, T) = {source.n}"
             )
-        try:
-            wspec = WindowSpec(N=source.n, T=config.window_length, stride=config.stride)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        wspec = WindowSpec(N=source.n, T=config.window_length, stride=config.stride)
         timeline = sweep(source, wspec, grid, cache=cache, keep_surface=config.dump_surface)
         if not timeline.results:
             raise NoWindowScored(_no_window_message(timeline, source.t, config.window_length))

@@ -17,33 +17,19 @@ from .errors import (
 )
 
 
-def _adoptable(values) -> bool:
-    """A read-only float64 array, which no one can change under us."""
-    frozen = isinstance(values, np.ndarray) and not values.flags.writeable
-    return frozen and values.dtype == np.float64
-
-
-def _frozen_array(values) -> np.ndarray:
-    """A read-only float64 array is kept as it is; anything else is copied
-    and frozen."""
-    if _adoptable(values):
-        return values
-    arr = np.array(values, dtype=float, copy=True)
-    arr.setflags(write=False)
-    return arr
-
-
-def _frozen_record(values) -> np.ndarray:
-    """`_frozen_array` for a source's record: the copy is an array from
-    `_mapped` (see there why), cast as np.array(values, dtype=float) casts.
+def _frozen(values, allocate=np.empty) -> np.ndarray:
+    """A read-only float64 array is adopted, since no one can change it
+    under us. Anything else is cast, as np.array(values, dtype=float) casts,
+    into a fresh array from `allocate`, which is then frozen. A source
+    passes `_mapped` (see there why); a window's copy stays on the heap.
     `load_csv` and `synthesize_case` freeze their records, so only a caller
     that wraps a record of its own pays for a copy, say
     `RawDataSource(values=generate_ar1(spec, N, T))`."""
-    if _adoptable(values):
-        return values
     if not isinstance(values, np.ndarray):
         values = np.asarray(values, dtype=float)
-    arr = _mapped(values.shape)
+    elif values.dtype == np.float64 and not values.flags.writeable:
+        return values
+    arr = allocate(values.shape)
     arr[...] = values
     arr.setflags(write=False)
     return arr
@@ -62,7 +48,7 @@ class RawDataSource:
     constant_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_record(self.values))
+        object.__setattr__(self, "values", _frozen(self.values, _mapped))
         if self.values.ndim != 2:
             raise DimensionMismatch("source must be a 2-d matrix")
         n, t = self.values.shape
@@ -109,18 +95,12 @@ class RawWindow:
     end_index: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
+        object.__setattr__(self, "values", _frozen(self.values))
 
 
 @dataclass(frozen=True)
-class StandardizedWindow:
+class StandardizedWindow(RawWindow):
     """Window whose rows have zero mean and unit (population) variance."""
-
-    values: np.ndarray
-    end_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
 
 
 def cut_window(source: RawDataSource, spec: WindowSpec, end_index: int) -> RawWindow:
@@ -214,7 +194,7 @@ def _mapped(shape: tuple[int, ...]) -> np.ndarray:
     own; its pages count as resident once written.
 
     This is the data model's one allocation for a record: a source's copy
-    of a record it cannot adopt (`_frozen_record`) and a parsed CSV
+    of a record it cannot adopt (`_frozen`) and a parsed CSV
     (`load_csv`) both come from here. An array on the process heap would
     stay resident after it is freed: once glibc frees one large block it
     raises its map and trim thresholds to that block's size, so later

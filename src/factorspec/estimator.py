@@ -30,7 +30,8 @@ from .model_spectrum import (
 
 @dataclass(frozen=True)
 class SearchGrid:
-    """Joint (p, b) search domain plus spectral-comparison settings."""
+    """Joint (p, b) search domain plus spectral-comparison settings. The p
+    and b values are stored as sorted tuples, whatever sequence is given."""
 
     p_values: tuple[int, ...] = tuple(range(11))
     b_values: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(20))
@@ -38,6 +39,8 @@ class SearchGrid:
     bins: int = 100
 
     def __post_init__(self):
+        object.__setattr__(self, "p_values", tuple(sorted(self.p_values)))
+        object.__setattr__(self, "b_values", tuple(sorted(self.b_values)))
         if not self.p_values or any(p < 0 for p in self.p_values):
             raise ValueError("p_values must be nonempty and nonnegative")
         if not self.b_values or any(not 0 <= b <= DEFAULT_B_MAX for b in self.b_values):
@@ -82,7 +85,7 @@ class RunAverage:
 
 
 class ModelBlock:
-    """The binned model masses of one (c, epsilon, bins, edge span, b grid):
+    """The binned model masses of one (b grid, c, epsilon, bin edges):
     the b values whose density built, their (B, K) masses, and the `smooth`
     terms that the divergence needs of those masses."""
 
@@ -104,10 +107,12 @@ class ModelDensityCache:
     `ModelDensityError`; the error is kept too and raised again, so a
     failing b is built once. Binning applies epsilon as Cauchy smoothing
     (`bin_curve`): no mass lies below 0, and mass past the last edge folds
-    into the last bin. A window looks up one `ModelBlock` per (c, epsilon,
-    bins, edge span, b grid), which holds the smoothed masses and their
-    entropy terms as well, so a warm window does no model work at all. Not
-    thread-safe: share one cache only within a thread.
+    into the last bin. A window looks up one `ModelBlock` per (b grid, c,
+    epsilon, bin edges), which holds the smoothed masses and their entropy
+    terms as well, so a warm window does no model work at all. The block is
+    keyed on the bytes of its exact edges, so two spans that share a count
+    and a last edge never share a block. Not thread-safe: share one cache
+    only within a thread.
     """
 
     def __init__(self):
@@ -134,7 +139,7 @@ class ModelDensityCache:
         """The block of `b_values` binned onto `bin_edges`, which start at 0.
         A b whose density fails is left out of the block; if every b fails,
         the last failure is raised."""
-        key = (tuple(b_values), round(c, 12), epsilon, len(bin_edges), float(bin_edges[-1]))
+        key = (tuple(b_values), round(c, 12), epsilon, np.asarray(bin_edges, dtype=float).tobytes())
         hit = self._blocks.get(key)
         if hit is None:
             built, rows = [], []
@@ -207,12 +212,12 @@ def estimate_window(
         raise DimensionMismatch(f"aspect ratio c = N / T = {n} / {t} must be below 1")
     c = n / t
     eigs = _residual_eigenvalues(window, grid.p_values)
-    p_values = sorted(grid.p_values)
+    p_values = grid.p_values  # sorted
     # the largest eigenvalue of the lowest level, whose zeroed ones count as 0
     edges = shared_bin_edges(float(eigs[p_values[0] :].max(initial=0.0)), c, grid.bins)
     emp_masses = density_from_eigenvalues(eigs, edges, p_values)
     try:
-        block = cache.masses(tuple(sorted(grid.b_values)), c, grid.epsilon, edges)
+        block = cache.masses(grid.b_values, c, grid.epsilon, edges)
     except FactorSpecError as exc:
         raise GridExhausted(f"every (p, b) pair failed; last error: {exc}") from None
     b_values = block.b_values

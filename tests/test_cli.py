@@ -288,18 +288,59 @@ def test_detect_requires_exactly_one_source(small_csv):
         ["--hold", "0"],
         ["--threshold", "0"],
         ["--noise-b", "1.0"],
+        ["--window-length", "1"],
     ],
     ids=" ".join,
 )
 def test_detect_rejects_out_of_range_options(flags, tmp_path, capsys, monkeypatch):
-    """Each is refused before the first sweep, the change rule included."""
-    swept = []
-    real = cli.sweep
-    monkeypatch.setattr(cli, "sweep", lambda *a, **kw: swept.append(a) or real(*a, **kw))
+    """Each is refused before any record is synthesized or read, the change
+    rule and the window geometry included."""
+    swept, sourced = [], []
+    real_sweep, real_source = cli.sweep, cli._source_for_run
+    monkeypatch.setattr(cli, "sweep", lambda *a, **kw: swept.append(a) or real_sweep(*a, **kw))
+    monkeypatch.setattr(
+        cli, "_source_for_run", lambda *a: sourced.append(a) or real_source(*a)
+    )
     assert run_case(tmp_path / "o", flags) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-    assert swept == []
+    assert swept == [] and sourced == []
     assert not (tmp_path / "o").exists()
+
+
+def test_detect_refuses_an_option_before_reading_the_input(tmp_path, capsys, monkeypatch):
+    """`--stride 0` needs no record, so a 118 x 20000 CSV is not parsed."""
+    digits = np.random.default_rng(6).integers(0, 10, 20000).astype(str)
+    path = tmp_path / "wide.csv"
+    path.write_text("".join(",".join(np.roll(digits, k)) + "\n" for k in range(118)))
+    loads = []
+    real = cli.load_csv
+    monkeypatch.setattr(cli, "load_csv", lambda *a, **kw: loads.append(a) or real(*a, **kw))
+    code = main(["detect", "--input", str(path), "--output-dir", str(tmp_path / "o"),
+                 "--stride", "0"])
+    assert code == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert loads == []
+
+
+def test_detect_builds_its_grid_once(small_csv, tmp_path, monkeypatch):
+    built = []
+    real = RunConfig.grid
+    monkeypatch.setattr(RunConfig, "grid", lambda self: built.append(self) or real(self))
+    assert run_detect(small_csv, tmp_path / "o") == EXIT_OK
+    assert len(built) == 1
+
+
+def test_validate_bounds_the_b_grid_before_building_it(monkeypatch):
+    """A b step below 0.001 (more than 951 b values) is refused with the
+    count it would search, and no grid is built for it."""
+    built = []
+    real = cli.SearchGrid
+    monkeypatch.setattr(cli, "SearchGrid", lambda *a, **kw: built.append(kw) or real(*a, **kw))
+    with pytest.raises(ConfigError, match="950001 b values"):
+        RunConfig(case="case1", b_step=1e-6).validate()
+    assert built == []
+    assert len(RunConfig(case="case1", b_step=0.001).validate().b_values) == 951
+    assert len(built) == 1
 
 
 def test_detect_rejects_bad_counts(small_csv, tmp_path):

@@ -11,6 +11,7 @@ from factorspec import (
     RawDataSource,
     RawWindow,
     SearchGrid,
+    StandardizedWindow,
     WindowSpec,
     cut_window,
     load_csv,
@@ -237,6 +238,24 @@ def test_raw_data_source_adopts_only_a_read_only_float64_input():
     values = RawDataSource(values=writable).values
     writable += 1.0
     assert np.array_equal(values, expect)
+
+
+def test_windows_freeze_their_values_as_a_source_does():
+    """Both window types keep the source's rule: a read-only float64 block
+    is shared, anything else is copied to a read-only float64 array."""
+    writable = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    frozen = writable.copy()
+    frozen.setflags(write=False)
+    frozen32 = frozen.astype(np.float32)
+    frozen32.setflags(write=False)
+    for cls in (RawWindow, StandardizedWindow):
+        for data, shared in ((writable, False), (frozen, True), (frozen32, False)):
+            values = cls(values=data, end_index=4).values
+            assert np.shares_memory(values, data) == shared
+            assert values.dtype == np.float64 and not values.flags.writeable
+            assert np.array_equal(values, data)
+        values = cls(values=writable.tolist(), end_index=4).values
+        assert np.array_equal(values, writable) and not values.flags.writeable
 
 
 def test_only_a_copied_record_is_mapped(monkeypatch):

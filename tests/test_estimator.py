@@ -66,6 +66,27 @@ def test_search_grid_validation():
         SearchGrid(epsilon=0.0)
 
 
+def test_search_grid_stores_sorted_tuples():
+    """The grid is sorted once, on construction, and a grid given lists
+    is hashable."""
+    grid = SearchGrid(p_values=(3, 1, 5), b_values=(0.5, 0.2))
+    assert grid.p_values == (1, 3, 5) and grid.b_values == (0.2, 0.5)
+    assert hash(SearchGrid(p_values=[0, 1])) == hash(SearchGrid(p_values=(1, 0)))
+
+
+def test_estimate_window_passes_the_grid_b_values_as_stored():
+    """A window looks its block up under the grid's own b tuple: the grid
+    is not sorted again per window."""
+    seen = []
+    cache = ModelDensityCache()
+    real = cache.masses
+    cache.masses = lambda b_values, *args: seen.append(b_values) or real(b_values, *args)
+    grid = small_grid(p_values=(2, 0), b_values=(0.4, 0.0))
+    x = generate_ar1(Ar1Spec(b=0.3, seed=8), N=30, T=120)
+    estimate_window(standardized(x), grid, cache=cache)
+    assert len(seen) == 1 and seen[0] is grid.b_values
+
+
 def test_fast_eigenvalue_path_matches_explicit_decomposition():
     """The sweep's single-eigendecomposition shortcut must agree with the
     explicit reference route: decompose, residual covariance, eigvalsh."""
@@ -377,6 +398,20 @@ def test_cache_reuse_returns_identical_masses():
     second = cache.masses((0.3,), 0.472, 1e-3, edges)
     assert second is first
     assert first.masses[0].sum() == pytest.approx(1.0)
+
+
+def test_cache_keys_a_block_on_its_exact_edges():
+    """Two spans of 41 edges that both end at 4.0 and differ only in edge
+    10 each get their own block, binned on their own edges."""
+    cache = ModelDensityCache()
+    first = np.linspace(0.0, 4.0, 41)
+    second = first.copy()
+    second[10] = 1.1
+    assert first[10] == 1.0
+    curve = cache.curve(0.3, 0.472)
+    for edges in (first, second):
+        block = cache.masses((0.3,), 0.472, 1e-3, edges)
+        assert np.array_equal(block.masses[0], estimator.bin_curve(*curve, edges, 1e-3))
 
 
 def test_cache_builds_one_curve_per_b_across_edge_spans(monkeypatch):
