@@ -31,7 +31,7 @@ from .estimator import (
     detect_changes,
     sweep,
 )
-from .model_spectrum import DEFAULT_B_MAX, smoothed_density
+from .model_spectrum import DEFAULT_B_MAX, DEFAULT_EPSILON, smoothed_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,7 +56,7 @@ class RunConfig:
     p_max: int = 10
     b_step: float = 0.05
     bins: int = 100
-    epsilon: float = 1e-3
+    epsilon: float = DEFAULT_EPSILON
     runs: int = 1
     seed: int = 0
     output_dir: str = "out"
@@ -78,7 +78,8 @@ class RunConfig:
         rule is checked by its own owner: the grid by `SearchGrid`, the change
         rule by `detect_changes` on an empty average, and the window geometry
         by `WindowSpec` at the smallest row count, N = 2. The rules that need
-        the record's N (c = N / T < 1, p_max <= N) are `run_detect`'s."""
+        the record's N are `SearchGrid.check_shape`'s, but as N < T, p_max <
+        window_length is checked here, before a p grid is built."""
         if (self.input_path is None) == (self.case is None):
             raise ConfigError("exactly one of --input or --case is required")
         if self.input_path is not None and not Path(self.input_path).exists():
@@ -93,6 +94,11 @@ class RunConfig:
             raise ConfigError(
                 f"b_step = {self.b_step} would search {round(DEFAULT_B_MAX / self.b_step) + 1} "
                 f"b values: it must be at least {B_STEP_MIN}"
+            )
+        if self.p_max >= self.window_length:
+            raise ConfigError(
+                f"p_max = {self.p_max} must be below window_length = {self.window_length}: "
+                "a window's rank is its row count N, and N < T"
             )
         try:
             WindowSpec(N=2, T=self.window_length, stride=self.stride)
@@ -194,16 +200,10 @@ def run_detect(config: RunConfig) -> dict:
                 f"row {source.constant_rows[0]} is constant over the whole record (its "
                 f"range is at most {SIGMA_FLOOR}), so every window would fail: drop the channel"
             )
-        if source.n >= config.window_length:
-            # c >= 1 puts an atom of mass 1 - 1/c at 0, which the model leaves out
-            raise ConfigError(
-                f"aspect ratio c = N / T = {source.n} / {config.window_length} must be "
-                f"below 1: use a window longer than {source.n} samples"
-            )
-        if config.p_max > source.n:  # N < T, so N is the window's rank
-            raise ConfigError(
-                f"p_max = {config.p_max} exceeds the window's rank min(N, T) = {source.n}"
-            )
+        try:
+            grid.check_shape(source.n, config.window_length)
+        except FactorSpecError as exc:
+            raise ConfigError(str(exc)) from exc
         wspec = WindowSpec(N=source.n, T=config.window_length, stride=config.stride)
         timeline = sweep(source, wspec, grid, cache=cache, keep_surface=config.dump_surface)
         if not timeline.results:
@@ -261,15 +261,14 @@ def run_detect(config: RunConfig) -> dict:
 
 
 def run_spectrum(
-    b: float, c: float, output: str, epsilon: float = 1e-3, points: int = CURVE_POINTS
+    b: float, c: float, output: str, epsilon: float = DEFAULT_EPSILON, points: int = CURVE_POINTS
 ) -> None:
     """Write the (lambda, rho) model density curve as CSV: the density that
     `ModelDensityCache.curve` builds and checks, smoothed at width epsilon.
     A density that fails its check raises ModelDensityError."""
     if points < 2:
         raise ConfigError("points must be >= 2")
-    if c >= 1:
-        # c >= 1 puts an atom of mass 1 - 1/c at 0, which the model leaves out
+    if c >= 1:  # an atom at 0, as `SearchGrid.check_shape` says of a window
         raise ConfigError(f"aspect ratio c = {c} must be below 1")
     try:  # an out-of-range b, c or epsilon
         _write_curve(Path(output), ModelDensityCache().curve(b, c), epsilon, points)

@@ -14,7 +14,8 @@ def density_from_eigenvalues(
     eigenvalues: np.ndarray, bin_edges: np.ndarray, levels=None
 ) -> np.ndarray:
     """(K,) masses of eigenvalues histogrammed onto K + 1 `bin_edges`,
-    clamping strays into the end bins.
+    clamping strays, ±inf included, into the end bins. A NaN eigenvalue
+    raises ValueError.
 
     With `levels`, the eigenvalues are a descending spectrum, and row i of
     the (len(levels), K) result holds the masses of that spectrum with its
@@ -28,7 +29,11 @@ def density_from_eigenvalues(
     if np.any(edges[1:] < edges[:-1]):
         raise ValueError("bin edges must increase monotonically")
     vals = np.asarray(eigenvalues, dtype=float)
-    zeroed = 0 if levels is None else min(levels)
+    if np.isnan(vals).any():
+        raise ValueError("eigenvalues must not be NaN")
+    single = levels is None  # one row, of level 0, returned as (K,)
+    levels = np.asarray((0,) if single else levels)
+    zeroed = int(levels.min())
     kept = vals[zeroed:]
     n_low = int(np.count_nonzero(kept < edges[0])) + zeroed * (0.0 < edges[0])
     n_high = int(np.count_nonzero(kept > edges[-1])) + zeroed * (0.0 > edges[-1])
@@ -41,11 +46,8 @@ def density_from_eigenvalues(
     inner = edges[1:-1]
     bins = np.searchsorted(inner, vals, side="right")
     k = len(edges) - 1
-    if levels is None:
-        return np.bincount(bins, minlength=k) / vals.size
-    levels = np.asarray(levels)
     zero_bin = np.searchsorted(inner, 0.0, side="right")
     rows = np.where(np.arange(vals.size) < levels[:, None], zero_bin, bins)
     rows += k * np.arange(levels.size)[:, None]
-    counts = np.bincount(rows.ravel(), minlength=k * levels.size)
-    return counts.reshape(levels.size, k) / vals.size
+    counts = np.bincount(rows.ravel(), minlength=k * levels.size).reshape(levels.size, k)
+    return (counts[0] if single else counts) / vals.size

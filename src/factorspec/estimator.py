@@ -50,6 +50,19 @@ class SearchGrid:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
 
+    def check_shape(self, n: int, t: int) -> None:
+        """Raise unless every p of the grid can be scored on an n x t window.
+        It needs c = n / t < 1, since c >= 1 puts an atom of mass 1 - 1/c at
+        0 that the model density leaves out (DimensionMismatch: use a window
+        longer than N samples), and no p above its rank n (InvalidFactorCount)."""
+        if n >= t:
+            raise DimensionMismatch(
+                f"aspect ratio c = N / T = {n} / {t} must be below 1: "
+                f"use a window longer than {n} samples"
+            )
+        if self.p_values[-1] > n:
+            raise InvalidFactorCount(f"p = {self.p_values[-1]} exceeds the window's rank N = {n}")
+
 
 @dataclass(frozen=True)
 class EstimationResult:
@@ -104,19 +117,19 @@ class ModelDensityCache:
     `model_density_curve`) and kept: windows bin it, and `spectrum` and
     `--dump-densities` write it smoothed (`smoothed_density`). A density
     whose trapezoid mass on its nodes is not within 1e-6 of 1 raises
-    `ModelDensityError`; the error is kept too and raised again, so a
-    failing b is built once. Binning applies epsilon as Cauchy smoothing
+    `ModelDensityError`; the curve keeps the error and raises it again, so
+    a failing b is built once. Binning applies epsilon as Cauchy smoothing
     (`bin_curve`): no mass lies below 0, and mass past the last edge folds
     into the last bin. A window looks up one `ModelBlock` per (b grid, c,
     epsilon, bin edges), which holds the smoothed masses and their entropy
     terms as well, so a warm window does no model work at all. The block is
     keyed on the bytes of its exact edges, so two spans that share a count
-    and a last edge never share a block. Not thread-safe: share one cache
-    only within a thread.
+    and a last edge never share a block; a lookup whose every b fails
+    stores none. Not thread-safe: share one cache only within a thread.
     """
 
     def __init__(self):
-        self._blocks: dict[tuple, ModelBlock | ModelDensityError] = {}
+        self._blocks: dict[tuple, ModelBlock] = {}
         self._curves: dict[tuple, tuple[np.ndarray, np.ndarray] | ModelDensityError] = {}
 
     def curve(self, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +151,7 @@ class ModelDensityCache:
     ) -> ModelBlock:
         """The block of `b_values` binned onto `bin_edges`, which start at 0.
         A b whose density fails is left out of the block; if every b fails,
-        the last failure is raised."""
+        the last failure is raised and no block is stored."""
         key = (tuple(b_values), round(c, 12), epsilon, np.asarray(bin_edges, dtype=float).tobytes())
         hit = self._blocks.get(key)
         if hit is None:
@@ -146,15 +159,12 @@ class ModelDensityCache:
             for b in b_values:
                 try:
                     rows.append(bin_curve(*self.curve(b, c), bin_edges, epsilon))
+                    built.append(b)
                 except ModelDensityError as exc:
-                    hit = exc
-                    continue
-                built.append(b)
-            if built:
-                hit = ModelBlock(built, np.array(rows))
-            self._blocks[key] = hit
-        if isinstance(hit, ModelDensityError):
-            raise hit.with_traceback(None)
+                    failure = exc
+            if not built:
+                raise failure
+            hit = self._blocks[key] = ModelBlock(built, np.array(rows))
         return hit
 
 
@@ -168,18 +178,14 @@ def _exact_curve(b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, rho
 
 
-def _residual_eigenvalues(window: StandardizedWindow, p_values) -> np.ndarray:
-    """Descending eigenvalues of (1/T) X X', after checking every p fits.
+def _residual_eigenvalues(window: StandardizedWindow) -> np.ndarray:
+    """Descending eigenvalues of (1/T) X X'.
 
     Subtracting the top-p principal part replaces the top p eigenvalues
     with zeros and leaves the rest untouched, so this one spectrum serves
     every p."""
     x = window.values
-    n, t = x.shape
-    p_max = max(p_values)
-    if p_max > min(n, t):
-        raise InvalidFactorCount(f"p={p_max} exceeds min(N, T)={min(n, t)}")
-    return np.linalg.eigvalsh((x @ x.T) / t)[::-1]
+    return np.linalg.eigvalsh((x @ x.T) / x.shape[1])[::-1]
 
 
 def shared_bin_edges(emp_max: float, c: float, bins: int) -> np.ndarray:
@@ -203,15 +209,13 @@ def estimate_window(
 
     The whole (p, b) surface is scored in one call. Tie rule: among the
     pairs within 1e-15 of the minimum, the smallest p wins, then the
-    smallest b. A b whose model density fails is skipped. A window with
-    N >= T raises DimensionMismatch: c >= 1 puts an atom of mass 1 - 1/c at
-    0, which the model density leaves out."""
+    smallest b. A b whose model density fails is skipped. A window that
+    `grid.check_shape` refuses raises its error before it is scored."""
     cache = cache if cache is not None else ModelDensityCache()
     n, t = window.values.shape
-    if n >= t:
-        raise DimensionMismatch(f"aspect ratio c = N / T = {n} / {t} must be below 1")
+    grid.check_shape(n, t)
     c = n / t
-    eigs = _residual_eigenvalues(window, grid.p_values)
+    eigs = _residual_eigenvalues(window)
     p_values = grid.p_values  # sorted
     # the largest eigenvalue of the lowest level, whose zeroed ones count as 0
     edges = shared_bin_edges(float(eigs[p_values[0] :].max(initial=0.0)), c, grid.bins)

@@ -10,7 +10,7 @@ import pytest
 from factorspec import Ar1Spec, SearchGrid, generate_ar1
 from factorspec import cli, model_spectrum
 from factorspec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, RunConfig, main
-from factorspec.errors import ConfigError
+from factorspec.errors import ConfigError, FactorSpecError
 
 DETECT_FLAGS = [
     "--window-length", "30",
@@ -102,6 +102,25 @@ def test_detect_rejects_p_max_above_window_rank(small_csv, tmp_path, capsys, mon
     assert run_detect(small_csv, tmp_path / "o", ["--p-max", "25"]) == EXIT_CONFIG
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert swept == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n, t, p_max", [(20, 20, 3), (30, 20, 3), (10, 20, 11)])
+def test_detect_refuses_a_window_shape_with_the_grid_message(n, t, p_max, tmp_path, capsys):
+    """The window rules (c < 1, p <= N) are the grid's: detect refuses a
+    record that breaks one with `SearchGrid.check_shape`'s message, exit 2."""
+    x = generate_ar1(Ar1Spec(b=0.4, seed=1), N=n, T=60)
+    path = tmp_path / "shape.csv"
+    np.savetxt(path, x, delimiter=",")
+    code = main(
+        ["detect", "--input", str(path), "--output-dir", str(tmp_path / "o"),
+         "--window-length", str(t), "--p-max", str(p_max), "--stride", "10"]
+    )
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    with pytest.raises(FactorSpecError) as owner:
+        SearchGrid(p_values=range(p_max + 1)).check_shape(n, t)
+    assert error == {"error": "ConfigError", "message": str(owner.value)}
     assert not (tmp_path / "o").exists()
 
 
@@ -341,6 +360,19 @@ def test_validate_bounds_the_b_grid_before_building_it(monkeypatch):
     assert built == []
     assert len(RunConfig(case="case1", b_step=0.001).validate().b_values) == 951
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("p_max", [30, 10**6])
+def test_validate_bounds_p_max_before_building_the_grid(monkeypatch, p_max):
+    """Every window has rank N < T, so p_max >= --window-length can be
+    scored on no window: it is refused before its p grid is built."""
+    built = []
+    real = cli.SearchGrid
+    monkeypatch.setattr(cli, "SearchGrid", lambda *a, **kw: built.append(kw) or real(*a, **kw))
+    with pytest.raises(ConfigError, match="p_max"):
+        RunConfig(case="case1", window_length=30, p_max=p_max).validate()
+    assert built == []
+    assert RunConfig(case="case1", window_length=30, p_max=29).validate().p_values[-1] == 29
 
 
 def test_detect_rejects_bad_counts(small_csv, tmp_path):

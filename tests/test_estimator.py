@@ -92,7 +92,7 @@ def test_fast_eigenvalue_path_matches_explicit_decomposition():
     explicit reference route: decompose, residual covariance, eigvalsh."""
     rng = np.random.default_rng(21)
     w = standardized(rng.normal(size=(30, 60)))
-    eigs = _residual_eigenvalues(w, (0, 1, 4))
+    eigs = _residual_eigenvalues(w)
     assert np.all(np.diff(eigs) <= 0)
     for p in (0, 1, 4):
         zeroed = eigs.copy()
@@ -103,9 +103,10 @@ def test_fast_eigenvalue_path_matches_explicit_decomposition():
 
 
 def test_residual_eigenvalues_rejects_oversized_p():
+    """A 10 x 20 window has rank 10, so p = 11 is refused before scoring."""
     w = standardized(np.random.default_rng(0).normal(size=(10, 20)))
     with pytest.raises(InvalidFactorCount):
-        _residual_eigenvalues(w, (11,))
+        estimate_window(w, small_grid(p_values=(11,)), cache=UniformCache())
 
 
 def test_shared_bin_edges_cover_data_and_noise_support():
@@ -184,7 +185,7 @@ def per_pair_surface(window, grid, cache):
     """The (p, b) surface scored one pair at a time: a histogram of each
     zeroed spectrum, one per-b model lookup, and a scalar JS call."""
     n, t = window.values.shape
-    eigs = _residual_eigenvalues(window, grid.p_values)
+    eigs = _residual_eigenvalues(window)
     lowest = zeroed(eigs, min(grid.p_values))
     edges = shared_bin_edges(float(lowest.max()), n / t, grid.bins)
     surface = {}
@@ -298,6 +299,31 @@ def test_estimate_window_rejects_aspect_ratio_at_least_one():
         w = standardized(generate_ar1(Ar1Spec(b=0.3, seed=36), N=n, T=t))
         with pytest.raises(DimensionMismatch, match="aspect ratio"):
             estimate_window(w, small_grid(), cache=UniformCache())
+
+
+@pytest.mark.parametrize(
+    "n, t, p_max, error",
+    [
+        (20, 20, 3, DimensionMismatch),
+        (30, 20, 3, DimensionMismatch),
+        (10, 20, 11, InvalidFactorCount),
+        (10, 20, 10, None),
+    ],
+)
+def test_check_shape_owns_the_window_rules(n, t, p_max, error):
+    """c = N / T < 1 and p <= N are checked by the grid alone, and a window
+    that breaks either is refused with the grid's own message."""
+    grid = small_grid(p_values=range(p_max + 1))
+    w = standardized(generate_ar1(Ar1Spec(b=0.3, seed=36), N=n, T=t))
+    if error is None:
+        grid.check_shape(n, t)
+        assert estimate_window(w, grid, cache=UniformCache()).p_hat in grid.p_values
+        return
+    with pytest.raises(error) as owner:
+        grid.check_shape(n, t)
+    with pytest.raises(error) as scored:
+        estimate_window(w, grid, cache=UniformCache())
+    assert str(scored.value) == str(owner.value)
 
 
 def test_sweep_records_aspect_ratio_failures():
@@ -432,7 +458,7 @@ def test_cache_builds_one_curve_per_b_across_edge_spans(monkeypatch):
     spans = set()
     for x in (quiet, spiked, quiet):
         window = standardized(x)
-        eigs = _residual_eigenvalues(window, grid.p_values)
+        eigs = _residual_eigenvalues(window)
         spans.add(shared_bin_edges(float(eigs.max()), 40 / 200, grid.bins)[-1])
         estimate_window(window, grid, cache=cache)
     assert len(spans) == 2
@@ -509,5 +535,6 @@ def test_cache_rejects_a_density_whose_mass_is_not_one():
     cache = ModelDensityCache()
     with pytest.raises(ModelDensityError, match="mass 0.66666"):
         cache.masses((0.3,), 1.5, 1e-3, np.linspace(0.0, 8.0, 41))
+    assert cache._blocks == {}  # the curve keeps the failure; no block is stored
     with pytest.raises(ModelDensityError):
         cache.curve(0.3, 1.5)
