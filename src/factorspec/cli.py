@@ -38,6 +38,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_PIPELINE = 4
 CURVE_POINTS = 2000  # points of a written model density curve
+CURVE_POINTS_MAX = 10_000  # smoothing a curve makes a (points x 257) float64 kernel
 B_STEP_MIN = 0.001  # the finest b grid: 951 values from 0 to DEFAULT_B_MAX
 
 
@@ -268,6 +269,8 @@ def run_spectrum(
     A density that fails its check raises ModelDensityError."""
     if points < 2:
         raise ConfigError("points must be >= 2")
+    if points > CURVE_POINTS_MAX:
+        raise ConfigError(f"points = {points} must be at most {CURVE_POINTS_MAX}")
     if c >= 1:  # an atom at 0, as `SearchGrid.check_shape` says of a window
         raise ConfigError(f"aspect ratio c = {c} must be below 1")
     try:  # an out-of-range b, c or epsilon

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import mmap
 from dataclasses import dataclass, field
@@ -131,17 +130,20 @@ def standardize(window: RawWindow) -> StandardizedWindow:
 def load_csv(path, skip_header: bool = False) -> RawDataSource:
     """Read a source matrix from CSV: one row per channel, one column per sample.
 
-    np.loadtxt parses about a megabyte of lines at a time, so it makes no
-    record-sized array of its own, and the rows go into one array from
-    `_mapped` (see there why) with room for every line of the file. A block
-    it rejects, or that has another width or a non-finite value, is read
-    again only to name its first bad cell (`_bad_cell`)."""
-    out, rows, width, next_row, block = None, 0, None, 1 + skip_header, 1
-    with open(path) as fh:
+    The file is read as UTF-8, a bad byte replaced so that it makes a bad
+    cell. One text handle counts the lines, then hands them to np.loadtxt
+    in blocks of about _BLOCK_CHARS, so it makes no record-sized array of
+    its own; the rows go into one array from `_mapped` (see there why) with
+    a row for every line. A block it rejects, or that has another width or
+    a non-finite value, is read again only to name its first bad cell
+    (`_bad_cell`)."""
+    out, rows, width, next_row = None, 0, None, 1 + skip_header
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        lines_in_file = sum(1 for _ in fh)
+        fh.seek(0)
         if skip_header:
             fh.readline()
-        while lines := list(itertools.islice(fh, block)):
-            block = max(1, _BLOCK_CHARS * len(lines) // sum(map(len, lines)))
+        while lines := fh.readlines(_BLOCK_CHARS):
             first_row, next_row = next_row, next_row + len(lines)
             if all(line == "\n" for line in lines):
                 continue  # np.loadtxt would warn that it found no data
@@ -153,7 +155,7 @@ def load_csv(path, skip_header: bool = False) -> RawDataSource:
             if part.shape[1] != width or not np.all(np.isfinite(part)):
                 raise _bad_cell(lines, first_row, width)
             if out is None:
-                out = _mapped((_line_bound(path), width))
+                out = _mapped((lines_in_file, width))
             out[rows : rows + len(part)] = part
             rows += len(part)
     if out is None:
@@ -163,7 +165,9 @@ def load_csv(path, skip_header: bool = False) -> RawDataSource:
     return RawDataSource(values)
 
 
-_BLOCK_CHARS = 1 << 20  # text handed to one np.loadtxt call
+# characters of text handed to one np.loadtxt call, plus the line that
+# crosses it: a 118 x 20000 record's rows, about 480 KB each, go two a block
+_BLOCK_CHARS = 1 << 19
 
 
 def _bad_cell(lines: list[str], first_row: int, width: int | None) -> CsvParseError:
@@ -194,8 +198,10 @@ def _mapped(shape: tuple[int, ...]) -> np.ndarray:
     own; its pages count as resident once written.
 
     This is the data model's one allocation for a record: a source's copy
-    of a record it cannot adopt (`_frozen`) and a parsed CSV
-    (`load_csv`) both come from here. An array on the process heap would
+    of a record it cannot adopt (`_frozen`) and a parsed CSV (`load_csv`)
+    both come from here. `load_csv` asks for a row per line of its file;
+    the rows of blank lines and a header are never written, so their pages
+    are never resident. An array on the process heap would
     stay resident after it is freed: once glibc frees one large block it
     raises its map and trim thresholds to that block's size, so later
     records of that size go on the heap, where a freed one is kept for
@@ -205,17 +211,3 @@ def _mapped(shape: tuple[int, ...]) -> np.ndarray:
     size = math.prod(shape)
     buffer = mmap.mmap(-1, max(size, 1) * 8)  # a map cannot be empty
     return np.frombuffer(buffer, dtype=np.float64, count=size).reshape(shape)
-
-
-def _line_bound(path) -> int:
-    """The lines of a text file, ended by LF, CRLF or CR as Python's text
-    mode splits them: at least the rows np.loadtxt can find in it."""
-    lines, last = 0, b"\n"
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            lines += chunk.count(b"\n")
-            if b"\r" in chunk:
-                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
-            lines -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split across reads
-            last = chunk[-1:]
-    return lines + (last not in (b"\n", b"\r"))

@@ -128,13 +128,15 @@ def planted_factor_matrix(
     return x
 
 
+BASELINE_RANGE = (20.0, 200.0)  # each channel's constant level is drawn from this
+
+
 def synthesize_case(
     schedule: EventSchedule,
     base: Ar1Spec,
     mixing: PlantedFactorSpec,
     N: int,
     t: int,
-    baseline_range: tuple[float, float] = (20.0, 200.0),
 ) -> RawDataSource:
     """Baseline constants + AR(1) noise + step events.
 
@@ -147,7 +149,7 @@ def synthesize_case(
             raise ScheduleOutOfRange(f"event {e} outside [1, {t}]")
 
     rng = np.random.default_rng(base.seed)
-    baselines = rng.uniform(*baseline_range, N)
+    baselines = rng.uniform(*BASELINE_RANGE, N)
     values = baselines[:, None] + generate_ar1(base, N, t, rng=rng)
     loadings = unit_loadings(max(mixing.k, len(schedule.events) or 1), N, rng)
     bulk_edge = (1.0 + np.sqrt(N / min(t, 4 * N))) ** 2

@@ -28,6 +28,13 @@ from .model_spectrum import (
 )
 
 
+# Caps on what one window allocates: binning a b's curve makes a (bins x 257)
+# float64 kernel (21 MB at the cap), and scoring the surface makes (p, b, bin)
+# float64 arrays (80 MB each at the cap).
+BINS_MAX = 10_000
+SURFACE_CELLS_MAX = 10**7
+
+
 @dataclass(frozen=True)
 class SearchGrid:
     """Joint (p, b) search domain plus spectral-comparison settings. The p
@@ -47,6 +54,14 @@ class SearchGrid:
             raise ValueError(f"b_values must lie within [0, {DEFAULT_B_MAX}]")
         if self.bins < 2:
             raise ValueError("need at least 2 bins")
+        if self.bins > BINS_MAX:
+            raise ValueError(f"bins = {self.bins} must be at most {BINS_MAX}")
+        p, b = len(self.p_values), len(self.b_values)
+        if p * b * self.bins > SURFACE_CELLS_MAX:
+            raise ValueError(
+                f"a surface of {p} p x {b} b x {self.bins} bins = {p * b * self.bins} "
+                f"cells must have at most {SURFACE_CELLS_MAX}"
+            )
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
 

@@ -375,6 +375,37 @@ def test_validate_bounds_p_max_before_building_the_grid(monkeypatch, p_max):
     assert RunConfig(case="case1", window_length=30, p_max=29).validate().p_values[-1] == 29
 
 
+@pytest.mark.parametrize(
+    "flags, size",
+    [
+        pytest.param(["--bins", "100000000"], "bins = 100000000", id="bins"),
+        pytest.param(["--b-step", "0.001", "--bins", "10000"], "104610000 cells", id="surface"),
+    ],
+)
+def test_detect_bounds_what_its_bins_allocate(flags, size, tmp_path, capsys, monkeypatch):
+    """A bin count or a (p, b, bin) surface past its cap is refused, with
+    its size, before any record is made or any model is built."""
+    sourced = []
+    monkeypatch.setattr(cli, "_source_for_run", lambda *a: sourced.append(a))
+    assert run_case(tmp_path / "o", ["--p-max", "10", *flags]) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ConfigError" and size in error["message"]
+    assert sourced == [] and not (tmp_path / "o").exists()
+
+
+def test_detect_names_a_byte_that_is_not_utf8_as_a_bad_cell(tmp_path, capsys):
+    """The CSV is read as UTF-8 with a bad byte replaced, so the byte is an
+    unparseable cell: exit 4, its row and column named, nothing written."""
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"1,2,3\n4,\xff5,6\n7,8,9\n")
+    code = main(["detect", "--input", str(path), "--output-dir", str(tmp_path / "o")])
+    assert code == EXIT_PIPELINE
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "CsvParseError", "message": "unparseable value at row 2, column 2"
+    }
+    assert not (tmp_path / "o").exists()
+
+
 def test_detect_rejects_bad_counts(small_csv, tmp_path):
     assert run_detect(small_csv, tmp_path / "o", ["--runs", "0"]) == EXIT_CONFIG
 
@@ -421,3 +452,17 @@ def test_spectrum_rejects_bad_params(tmp_path, capsys):
         assert main(args) == EXIT_CONFIG, bad
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     assert not out.exists()
+
+
+def test_spectrum_bounds_its_points_before_building_a_curve(tmp_path, capsys, monkeypatch):
+    """More than 10000 points is refused, with the count, before a curve
+    is built or written."""
+    written = []
+    monkeypatch.setattr(cli, "_write_curve", lambda *a: written.append(a[-1]))
+    args = ["spectrum", "--b", "0.3", "--c", "0.472", "--output", str(tmp_path / "c.csv")]
+    assert main([*args, "--points", "100000000"]) == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ConfigError" and "points = 100000000" in error["message"]
+    assert written == []
+    assert main([*args, "--points", "10000"]) == EXIT_OK
+    assert written == [10_000]

@@ -332,15 +332,31 @@ def test_load_csv_keeps_the_parse_without_a_copy(tmp_path, monkeypatch):
     assert np.shares_memory(src.values, mapped[0]) and not src.values.flags.writeable
 
 
+ONES = b",".join([b"1"] * 20) + b"\r\n"  # 41 bytes
+
+
 @pytest.mark.parametrize(
     "text, lines",
-    [(b"1,2\r\n3,4\r\n\r\n5,6", 4), (b"1,2\r3,4\r5,6\r", 3), (b"1,2\n3,4\n5,6", 3)],
+    [
+        (b"1,2\r\n3,4\r\n\r\n5,6", 4),
+        (b"1,2\r3,4\r5,6\r", 3),
+        (b"1,2\n3,4\n5,6", 3),
+        (b"1,2\r\n3,4\r5,6\n\r\n7,8", 5),
+        # a blank line's CRLF at bytes 2**20 - 1 and 2**20
+        pytest.param(ONES * 25575 + b"\r\n" + ONES * 3, 25579, id="crlf-across-2**20"),
+    ],
 )
-def test_load_csv_row_bound_covers_every_line_ending(tmp_path, text, lines):
+def test_load_csv_row_bound_covers_every_line_ending(tmp_path, monkeypatch, text, lines):
+    """The map has a row for every line, however it ends, and the rows are
+    the lines that hold cells."""
+    shapes = []
+    real = data_model._mapped
+    monkeypatch.setattr(data_model, "_mapped", lambda shape: shapes.append(shape) or real(shape))
     path = tmp_path / "data.csv"
     path.write_bytes(text)
-    assert data_model._line_bound(path) == lines
-    assert np.array_equal(load_csv(path).values, [[1, 2], [3, 4], [5, 6]])
+    expect = [[float(c) for c in line.split(",")] for line in text.decode().splitlines() if line]
+    assert np.array_equal(load_csv(path).values, expect)
+    assert shapes[0][0] == lines
 
 
 @pytest.mark.parametrize(
@@ -367,7 +383,7 @@ def test_load_csv_fast_path_across_blocks(tmp_path, monkeypatch, text, expect):
 
 def test_load_csv_scans_only_the_rejected_block(tmp_path, monkeypatch):
     """A bad cell in the last block is located from that block's lines."""
-    monkeypatch.setattr(data_model, "_BLOCK_CHARS", 4)
+    monkeypatch.setattr(data_model, "_BLOCK_CHARS", 3)
     scanned = []
     real = data_model._bad_cell
     monkeypatch.setattr(data_model, "_bad_cell", lambda *a: scanned.append(a) or real(*a))

@@ -66,6 +66,19 @@ def test_search_grid_validation():
         SearchGrid(epsilon=0.0)
 
 
+def test_search_grid_bounds_what_a_window_allocates():
+    """The bin count sizes each b's (bins x 257) binning kernel and the
+    grid sizes the (p, b, bin) surface: both are refused past their caps,
+    with the size in the message."""
+    with pytest.raises(ValueError, match="bins = 100000000 must be at most 10000"):
+        SearchGrid(bins=10**8)
+    fine_b = tuple(round(0.001 * i, 3) for i in range(951))
+    with pytest.raises(ValueError, match="11 p x 951 b x 10000 bins = 104610000 cells"):
+        SearchGrid(b_values=fine_b, bins=10_000)
+    assert SearchGrid(bins=10_000).bins == 10_000
+    assert len(SearchGrid(b_values=fine_b, bins=955).b_values) == 951
+
+
 def test_search_grid_stores_sorted_tuples():
     """The grid is sorted once, on construction, and a grid given lists
     is hashable."""
