@@ -31,7 +31,7 @@ from .estimator import (
     detect_changes,
     sweep,
 )
-from .model_spectrum import DEFAULT_B_MAX, DEFAULT_EPSILON, smoothed_density
+from .model_spectrum import DEFAULT_B_MAX, DEFAULT_EPSILON, check_density, smoothed_density
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,7 +114,7 @@ class RunConfig:
         # compare the rounded value: 19 * 0.05 exceeds 0.95 in floating point
         b_values = (round(i * self.b_step, 10) for i in range(steps))
         return SearchGrid(
-            p_values=tuple(range(self.p_max + 1)),
+            p_values=range(self.p_max + 1),
             b_values=tuple(b for b in b_values if b <= DEFAULT_B_MAX),
             epsilon=self.epsilon,
             bins=self.bins,
@@ -146,12 +146,20 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
     _atomic_write(path, write)
 
 
-def _write_curve(path: Path, curve, epsilon: float, points: int) -> None:
-    """A (nodes, exact density) curve smoothed at width epsilon, at `points`
-    even steps from 0 to 5% past the support's upper edge."""
-    nodes, rho = curve
+def _write_curve(
+    path: Path, cache: ModelDensityCache, b: float, c: float, epsilon: float, points: int
+) -> None:
+    """The model density at (b, c) that `cache` builds and checks, smoothed
+    at width epsilon, at `points` even steps from 0 to 5% past the support's
+    upper edge. A density that fails, or whose smoothed values are not
+    finite and nonnegative, raises ModelDensityError and writes nothing."""
+    nodes, rho = cache.curve(b, c)
     grid = np.linspace(0.0, 1.05 * nodes[-1], points)
-    _write_rows(path, ["lambda", "rho"], zip(grid, smoothed_density(nodes, rho, grid, epsilon)))
+    smoothed = check_density(
+        smoothed_density(nodes, rho, grid, epsilon),
+        f"density at b={b}, c={c}, epsilon={epsilon}",
+    )
+    _write_rows(path, ["lambda", "rho"], zip(grid, smoothed))
 
 
 def _dump_model_densities(out: Path, grid: SearchGrid, c: float, cache: ModelDensityCache) -> None:
@@ -159,10 +167,11 @@ def _dump_model_densities(out: Path, grid: SearchGrid, c: float, cache: ModelDen
     A b whose density fails gets no file, as it gets no row in a block."""
     for b in grid.b_values:
         try:
-            curve = cache.curve(b, c)
+            _write_curve(
+                out / f"model_density_b{b:.2f}.csv", cache, b, c, grid.epsilon, CURVE_POINTS
+            )
         except ModelDensityError:
             continue
-        _write_curve(out / f"model_density_b{b:.2f}.csv", curve, grid.epsilon, CURVE_POINTS)
 
 
 def _source_for_run(config: RunConfig, seed: int) -> RawDataSource:
@@ -206,7 +215,7 @@ def run_detect(config: RunConfig) -> dict:
         except FactorSpecError as exc:
             raise ConfigError(str(exc)) from exc
         wspec = WindowSpec(N=source.n, T=config.window_length, stride=config.stride)
-        timeline = sweep(source, wspec, grid, cache=cache, keep_surface=config.dump_surface)
+        timeline = sweep(source, wspec, grid, cache=cache)
         if not timeline.results:
             raise NoWindowScored(_no_window_message(timeline, source.t, config.window_length))
         timelines.append(timeline)
@@ -227,7 +236,8 @@ def run_detect(config: RunConfig) -> dict:
                 (
                     (r.end_index, p, b, d)
                     for r in tl.results
-                    for (p, b), d in sorted((r.divergence_surface or {}).items())
+                    for p, row in zip(r.p_values, r.surface.tolist())
+                    for b, d in zip(r.b_values, row)
                 ),
             )
     if config.dump_densities:
@@ -266,7 +276,8 @@ def run_spectrum(
 ) -> None:
     """Write the (lambda, rho) model density curve as CSV: the density that
     `ModelDensityCache.curve` builds and checks, smoothed at width epsilon.
-    A density that fails its check raises ModelDensityError."""
+    A density that fails its check, or a smoothed one that is not finite
+    and nonnegative, raises ModelDensityError."""
     if points < 2:
         raise ConfigError("points must be >= 2")
     if points > CURVE_POINTS_MAX:
@@ -274,7 +285,7 @@ def run_spectrum(
     if c >= 1:  # an atom at 0, as `SearchGrid.check_shape` says of a window
         raise ConfigError(f"aspect ratio c = {c} must be below 1")
     try:  # an out-of-range b, c or epsilon
-        _write_curve(Path(output), ModelDensityCache().curve(b, c), epsilon, points)
+        _write_curve(Path(output), ModelDensityCache(), b, c, epsilon, points)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -3,7 +3,7 @@ run averaging, and change-point flagging."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .model_spectrum import (
     DEFAULT_EPSILON,
     NoiseModelParams,
     bin_curve,
+    check_density,
     default_lambda_grid,
     model_density_curve,
 )
@@ -38,7 +39,8 @@ SURFACE_CELLS_MAX = 10**7
 @dataclass(frozen=True)
 class SearchGrid:
     """Joint (p, b) search domain plus spectral-comparison settings. The p
-    and b values are stored as sorted tuples, whatever sequence is given."""
+    and b values are stored as sorted tuples, whatever sized sequence (a
+    range, say) is given; the surface's size is checked before they are."""
 
     p_values: tuple[int, ...] = tuple(range(11))
     b_values: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(20))
@@ -46,24 +48,25 @@ class SearchGrid:
     bins: int = 100
 
     def __post_init__(self):
-        object.__setattr__(self, "p_values", tuple(sorted(self.p_values)))
-        object.__setattr__(self, "b_values", tuple(sorted(self.b_values)))
-        if not self.p_values or any(p < 0 for p in self.p_values):
-            raise ValueError("p_values must be nonempty and nonnegative")
-        if not self.b_values or any(not 0 <= b <= DEFAULT_B_MAX for b in self.b_values):
-            raise ValueError(f"b_values must lie within [0, {DEFAULT_B_MAX}]")
         if self.bins < 2:
             raise ValueError("need at least 2 bins")
         if self.bins > BINS_MAX:
             raise ValueError(f"bins = {self.bins} must be at most {BINS_MAX}")
+        # sized before sorted, so an oversized grid is refused before it is copied
         p, b = len(self.p_values), len(self.b_values)
         if p * b * self.bins > SURFACE_CELLS_MAX:
             raise ValueError(
                 f"a surface of {p} p x {b} b x {self.bins} bins = {p * b * self.bins} "
                 f"cells must have at most {SURFACE_CELLS_MAX}"
             )
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        object.__setattr__(self, "p_values", tuple(sorted(self.p_values)))
+        object.__setattr__(self, "b_values", tuple(sorted(self.b_values)))
+        if not self.p_values or any(p < 0 for p in self.p_values):
+            raise ValueError("p_values must be nonempty and nonnegative")
+        if not self.b_values or any(not 0 <= b <= DEFAULT_B_MAX for b in self.b_values):
+            raise ValueError(f"b_values must lie within [0, {DEFAULT_B_MAX}]")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
 
     def check_shape(self, n: int, t: int) -> None:
         """Raise unless every p of the grid can be scored on an n x t window.
@@ -81,11 +84,19 @@ class SearchGrid:
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """One window's fit. `surface[i, j]` is the JS divergence at
+    (p_values[i], b_values[j]), read-only; `b_values` are the grid's b
+    values whose model density built. (p_hat, b_hat) is its argmin and
+    `divergence` its minimum. Results compare equal by every field but
+    the surface, which the others are read from."""
+
     end_index: int
     p_hat: int
     b_hat: float
     divergence: float
-    divergence_surface: dict[tuple[int, float], float] | None = None
+    p_values: tuple[int, ...]
+    b_values: tuple[float, ...]
+    surface: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -165,15 +176,18 @@ class ModelDensityCache:
         self, b_values: tuple[float, ...], c: float, epsilon: float, bin_edges: np.ndarray
     ) -> ModelBlock:
         """The block of `b_values` binned onto `bin_edges`, which start at 0.
-        A b whose density fails is left out of the block; if every b fails,
-        the last failure is raised and no block is stored."""
+        A b whose density fails, or whose masses are not finite and
+        nonnegative (an epsilon far past the support's scale), is left out
+        of the block; if every b fails, the last failure is raised and no
+        block is stored."""
         key = (tuple(b_values), round(c, 12), epsilon, np.asarray(bin_edges, dtype=float).tobytes())
         hit = self._blocks.get(key)
         if hit is None:
             built, rows = [], []
             for b in b_values:
                 try:
-                    rows.append(bin_curve(*self.curve(b, c), bin_edges, epsilon))
+                    row = bin_curve(*self.curve(b, c), bin_edges, epsilon)
+                    rows.append(check_density(row, f"masses at b={b}, c={c}, epsilon={epsilon}"))
                     built.append(b)
                 except ModelDensityError as exc:
                     failure = exc
@@ -214,10 +228,7 @@ def shared_bin_edges(emp_max: float, c: float, bins: int) -> np.ndarray:
 
 
 def estimate_window(
-    window: StandardizedWindow,
-    grid: SearchGrid,
-    cache: ModelDensityCache | None = None,
-    keep_surface: bool = False,
+    window: StandardizedWindow, grid: SearchGrid, cache: ModelDensityCache | None = None
 ) -> EstimationResult:
     """Joint argmin of the JS divergence between the p-level empirical
     density and the b-model density.
@@ -241,21 +252,17 @@ def estimate_window(
         raise GridExhausted(f"every (p, b) pair failed; last error: {exc}") from None
     b_values = block.b_values
     surface = js_divergence_masses(emp_masses[:, None, :], block.smoothed)
+    surface.flags.writeable = False
     first = int(np.argmax(surface <= surface.min() + 1e-15))  # row-major: p, then b
     i, j = divmod(first, len(b_values))
-    kept = None
-    if keep_surface:
-        kept = {
-            (p, b): float(surface[pi, bj])
-            for bj, b in enumerate(b_values)
-            for pi, p in enumerate(p_values)
-        }
     return EstimationResult(
         end_index=window.end_index,
         p_hat=p_values[i],
         b_hat=b_values[j],
         divergence=float(surface[i, j]),
-        divergence_surface=kept,
+        p_values=p_values,
+        b_values=b_values,
+        surface=surface,
     )
 
 
@@ -264,7 +271,6 @@ def sweep(
     spec: WindowSpec,
     grid: SearchGrid,
     cache: ModelDensityCache | None = None,
-    keep_surface: bool = False,
 ) -> Timeline:
     """One EstimationResult per end_index from T to t by stride; failed
     windows are recorded, not fatal."""
@@ -274,9 +280,7 @@ def sweep(
     for end_index in range(spec.T, source.t + 1, spec.stride):
         try:
             window = standardize(cut_window(source, spec, end_index))
-            results.append(
-                estimate_window(window, grid, cache=cache, keep_surface=keep_surface)
-            )
+            results.append(estimate_window(window, grid, cache=cache))
         except FactorSpecError as exc:
             failures.append((end_index, f"{type(exc).__name__}: {exc}"))
     return Timeline(results=tuple(results), failures=tuple(failures))

@@ -248,16 +248,28 @@ def smoothed_density(
     nodes: np.ndarray, rho: np.ndarray, lambda_grid, epsilon: float
 ) -> np.ndarray:
     """A density rho, piecewise linear on ascending nodes and 0 at both ends,
-    convolved with a Cauchy kernel of width epsilon > 0, at each lambda of a
-    grid: rho(x) + eps sum_j s_j I((x - lambda_j) / eps) over the `_tail`
-    knots, the derivative of the CDF that `bin_curve` bins."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    convolved with a Cauchy kernel of finite width epsilon > 0, at each
+    lambda of a grid: rho(x) + eps sum_j s_j I((x - lambda_j) / eps) over
+    the `_tail` knots, the derivative of the CDF that `bin_curve` bins."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     x = np.asarray(lambda_grid, dtype=float)
     knots, jumps = _tail(nodes, rho)
     return np.interp(x, nodes, rho) + epsilon * (
         _density_kernel((x[:, None] - knots) / epsilon) @ jumps
     )
+
+
+def check_density(values: np.ndarray, what: str) -> np.ndarray:
+    """`values`, or ModelDensityError naming `what` if one is negative or
+    not finite. Smoothing far wider than the support leaves such values: at
+    b = 0.95, c = 0.472 and epsilon = 10 a bin mass of -5.9e-4."""
+    low, high = values.min(), values.max()
+    if not (low >= 0 and high < math.inf):
+        raise ModelDensityError(
+            f"model {what}: values from {low:.3g} to {high:.3g}, not all finite and nonnegative"
+        )
+    return values
 
 
 def bin_curve(

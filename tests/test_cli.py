@@ -3,6 +3,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,12 +172,29 @@ def test_detect_fails_a_source_shorter_than_the_window(small_csv, tmp_path, caps
 
 
 def test_detect_dump_surface(small_csv, tmp_path):
+    """Each window's rows run p ascending, then b ascending; their minimum is
+    the timeline's divergence, and the first row within 1e-15 of it, the
+    estimator's tie rule, is the timeline's (p_hat, b_hat)."""
     out = tmp_path / "out"
     assert run_detect(small_csv, out, ["--dump-surface"]) == EXIT_OK
     with open(out / "surface_run000.csv") as fh:
         rows = list(csv.DictReader(fh))
+    with open(out / "timeline_run000.csv") as fh:
+        timeline = list(csv.DictReader(fh))
     # 4 windows x 3 p values x 3 b values
-    assert len(rows) == 36
+    assert len(rows) == 36 and len(timeline) == 4
+    for fit in timeline:
+        cells = [
+            (int(r["p"]), float(r["b"]), float(r["divergence"]))
+            for r in rows
+            if r["end_index"] == fit["end_index"]
+        ]
+        pairs = [(p, b) for p, b, _ in cells]
+        assert pairs == sorted(set(pairs)) and len(pairs) == 9
+        least = min(d for _, _, d in cells)
+        assert least == float(fit["divergence"])
+        first = next((p, b) for p, b, d in cells if d <= least + 1e-15)
+        assert first == (int(fit["p_hat"]), float(fit["b_hat"]))
 
 
 def test_dump_densities_reads_the_input_once(small_csv, tmp_path, monkeypatch):
@@ -301,6 +319,7 @@ def test_detect_requires_exactly_one_source(small_csv):
         ["--stride", "0"],
         ["--bins", "1"],
         ["--epsilon", "0"],
+        ["--epsilon", "inf"],
         ["--p-max", "-1"],
         ["--b-step", "0"],
         ["--b-step", "-0.1"],
@@ -375,6 +394,21 @@ def test_validate_bounds_p_max_before_building_the_grid(monkeypatch, p_max):
     assert RunConfig(case="case1", window_length=30, p_max=29).validate().p_values[-1] == 29
 
 
+def test_validate_refuses_a_huge_p_grid_before_building_it():
+    """p_max < window_length does not bound the p grid, as the window length
+    has no cap: the surface's cell count is checked from the grid's size
+    before any p tuple is made."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        with pytest.raises(ConfigError, match="cells must have at most"):
+            RunConfig(case="case1", window_length=10**6, p_max=10**6 - 1).validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "flags, size",
     [
@@ -436,6 +470,17 @@ def test_spectrum_refuses_a_density_that_fails_its_mass_check(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spectrum_refuses_a_smoothed_density_below_zero(tmp_path, capsys):
+    """At epsilon = 10 the smoothed b = 0.95 density dips to -0.027: the
+    curve is refused as a failed density is, and nothing is written."""
+    out = tmp_path / "curve.csv"
+    args = ["spectrum", "--b", "0.95", "--c", "0.472", "--epsilon", "10", "--output", str(out)]
+    assert main(args) == EXIT_PIPELINE
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ModelDensityError" and "b=0.95" in error["message"]
+    assert not out.exists()
+
+
 def test_spectrum_rejects_bad_params(tmp_path, capsys):
     """c >= 1 is refused as `detect` refuses it: the curve misses part of
     the atom at 0."""
@@ -446,6 +491,7 @@ def test_spectrum_rejects_bad_params(tmp_path, capsys):
         ["--c", "1.5"],
         ["--epsilon", "0"],
         ["--epsilon", "-1"],
+        ["--epsilon", "inf"],
         ["--points", "0"],
     ):
         args = ["spectrum", "--b", "0.3", "--c", "0.472", "--output", str(out), *bad]

@@ -1,4 +1,6 @@
 """Window estimation, sweeping, run averaging, and change flagging."""
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,32 @@ def test_search_grid_validation():
         SearchGrid(bins=1)
     with pytest.raises(ValueError):
         SearchGrid(epsilon=0.0)
+    # every model mass would be NaN, and an all-NaN surface picks its first pair
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        SearchGrid(epsilon=math.inf)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_b_whose_binned_masses_are_not_finite_and_nonnegative_fails():
+    """Past the widths the grid is meant for, binning goes wrong: at
+    epsilon = 10 the b = 0.95 row dips below 0, and at 1e155 every row is
+    NaN. Such a b is left out of the block, as a failed density is."""
+    cache = ModelDensityCache()
+    edges = shared_bin_edges(3.0, 0.472, 100)
+    assert cache.masses((0.5, 0.95), 0.472, 10.0, edges).b_values == (0.5,)
+    with pytest.raises(ModelDensityError, match="b=0.95, c=0.472, epsilon=1e"):
+        cache.masses((0.5, 0.95), 0.472, 1e155, edges)
+
+
+@pytest.mark.parametrize("epsilon", [1e-4, 1e-3])
+def test_no_default_b_fails_its_masses_at_the_working_widths(epsilon):
+    """At the widths the grid is used with, every default b keeps its row:
+    at the built-in cases' and the tests' c, on spans up to u = 12."""
+    b_values = SearchGrid().b_values
+    for c in (118 / 250, 20 / 30, 60 / 120):
+        for top in (2.0, 4.0, 8.0, 12.0):
+            block = CACHE.masses(b_values, c, epsilon, shared_bin_edges(top, c, 100))
+            assert block.b_values == b_values, (c, top)
 
 
 def test_search_grid_bounds_what_a_window_allocates():
@@ -150,16 +178,31 @@ def test_estimate_window_pure_noise_prefers_few_factors():
     assert abs(result.b_hat - 0.2) <= 0.2
 
 
+def as_dict(result):
+    """The result's surface keyed by (p, b)."""
+    return {
+        (p, b): d
+        for p, row in zip(result.p_values, result.surface.tolist())
+        for b, d in zip(result.b_values, row)
+    }
+
+
 def test_estimate_window_deterministic_and_surface_complete():
+    """Two fits of one window compare equal, surfaces and all, which is
+    what a replay that checks its results with == relies on; the surface
+    is read-only and spans the whole grid."""
     x = generate_ar1(Ar1Spec(b=0.3, seed=33), N=60, T=120)
     grid = small_grid()
-    a = estimate_window(standardized(x), grid, cache=CACHE, keep_surface=True)
-    b = estimate_window(standardized(x), grid, cache=CACHE, keep_surface=True)
-    assert (a.p_hat, a.b_hat, a.divergence) == (b.p_hat, b.b_hat, b.divergence)
-    assert set(a.divergence_surface) == {
+    a = estimate_window(standardized(x), grid, cache=CACHE)
+    b = estimate_window(standardized(x), grid, cache=CACHE)
+    assert a == b
+    assert np.array_equal(a.surface, b.surface)
+    assert not a.surface.flags.writeable
+    assert a.surface.shape == (len(a.p_values), len(a.b_values))
+    assert set(as_dict(a)) == {
         (p, bb) for p in grid.p_values for bb in grid.b_values
     }
-    assert a.divergence == min(a.divergence_surface.values())
+    assert a.divergence == min(as_dict(a).values())
 
 
 def zeroed(eigs, p):
@@ -190,8 +233,8 @@ def test_surface_equals_per_pair_scalar_loop():
     )
     w = standardized(x)
     grid = small_grid()
-    result = estimate_window(w, grid, cache=CACHE, keep_surface=True)
-    assert result.divergence_surface == per_pair_surface(w, grid, CACHE)[1]
+    result = estimate_window(w, grid, cache=CACHE)
+    assert as_dict(result) == per_pair_surface(w, grid, CACHE)[1]
 
 
 def per_pair_surface(window, grid, cache):
@@ -232,13 +275,13 @@ def test_surface_equals_per_pair_route_across_grids_and_spans():
     for x in (quiet, spiked):
         w = standardized(x)
         for grid in grids:
-            result = estimate_window(w, grid, cache=cache, keep_surface=True)
+            result = estimate_window(w, grid, cache=cache)
             span, want = per_pair_surface(w, grid, reference)
             spans.add(span)
             assert 0.95 not in {b for _, b in want}
-            assert result.divergence_surface.keys() == want.keys()
+            assert as_dict(result).keys() == want.keys()
             for pair, d in want.items():
-                assert result.divergence_surface[pair] == d, pair
+                assert as_dict(result)[pair] == d, pair
     assert len(spans) >= 2
 
 
@@ -260,17 +303,17 @@ class UniformCache:
 def test_tie_rule_picks_smallest_b_among_identical_models():
     w = standardized(generate_ar1(Ar1Spec(b=0.3, seed=42), N=40, T=100))
     grid = small_grid()
-    result = estimate_window(w, grid, cache=UniformCache(), keep_surface=True)
-    surface = result.divergence_surface
+    result = estimate_window(w, grid, cache=UniformCache())
+    surface = as_dict(result)
     best = min(surface.values())
     tied = sorted(pair for pair, d in surface.items() if d <= best + 1e-15)
     # every b ties, and on this window p = 0 and p = 1 differ by 3e-17
     assert {p for p, _ in tied} == {0, 1}
     assert len(tied) == 2 * len(grid.b_values)
     assert (result.p_hat, result.b_hat) == tied[0] == (0, 0.0)
-    skipped = estimate_window(w, grid, cache=UniformCache(fail=(0.0,)), keep_surface=True)
+    skipped = estimate_window(w, grid, cache=UniformCache(fail=(0.0,)))
     assert skipped.b_hat == 0.2
-    assert {b for _, b in skipped.divergence_surface} == {0.2, 0.4, 0.6}
+    assert {b for _, b in as_dict(skipped)} == {0.2, 0.4, 0.6}
 
 
 def test_a_grid_whose_every_b_fails_is_exhausted(monkeypatch):
@@ -368,7 +411,10 @@ def test_sweep_records_failures_and_continues():
 def make_timeline(end_indices, p_values):
     return Timeline(
         results=tuple(
-            EstimationResult(end_index=e, p_hat=p, b_hat=0.5, divergence=0.1)
+            EstimationResult(
+                end_index=e, p_hat=p, b_hat=0.5, divergence=0.1,
+                p_values=(p,), b_values=(0.5,), surface=np.array([[0.1]]),
+            )
             for e, p in zip(end_indices, p_values)
         )
     )

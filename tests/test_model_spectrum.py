@@ -277,8 +277,8 @@ def test_model_density_curve_nonnegative():
 
 def test_smoothing_needs_a_positive_width():
     nodes, rho = exact_curve(0.3, C)
-    for epsilon in (0.0, -1e-3):
-        with pytest.raises(ValueError, match="epsilon must be positive"):
+    for epsilon in (0.0, -1e-3, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             smoothed_density(nodes, rho, nodes, epsilon)
 
 
