@@ -116,13 +116,15 @@ def cut_window(source: RawDataSource, spec: WindowSpec, end_index: int) -> RawWi
 
 def standardize(window: RawWindow) -> StandardizedWindow:
     """Z-score each row to mean 0, population variance 1; a constant row
-    raises DegenerateRow."""
+    raises DegenerateRow. The rows are centred once, and the std is taken
+    from the centred rows, bit for bit as `x.std(axis=1)` takes it."""
     x = window.values
-    std = x.std(axis=1)
+    out = x - x.mean(axis=1, keepdims=True)
+    std = np.sqrt(np.mean(out * out, axis=1))
     low = np.nonzero(std <= SIGMA_FLOOR)[0]
     if low.size:
         raise DegenerateRow(int(low[0]))
-    out = (x - x.mean(axis=1, keepdims=True)) / std[:, None]
+    out /= std[:, None]
     out.setflags(write=False)
     return StandardizedWindow(values=out, end_index=window.end_index)
 

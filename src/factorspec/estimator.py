@@ -236,7 +236,10 @@ def estimate_window(
     The whole (p, b) surface is scored in one call. Tie rule: among the
     pairs within 1e-15 of the minimum, the smallest p wins, then the
     smallest b. A b whose model density fails is skipped. A window that
-    `grid.check_shape` refuses raises its error before it is scored."""
+    `grid.check_shape` refuses raises its error before it is scored.
+
+    Pass one `cache` to repeated calls: without it, each call builds every
+    model curve of the grid again."""
     cache = cache if cache is not None else ModelDensityCache()
     n, t = window.values.shape
     grid.check_shape(n, t)

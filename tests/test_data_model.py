@@ -101,6 +101,8 @@ def test_source_values_are_read_only(source):
 
 
 def test_standardize_zero_mean_unit_population_variance():
+    """Bit for bit the two-pass z-score, on a window cut from a source (a
+    strided view) and on a contiguous array."""
     rng = np.random.default_rng(3)
     w = RawWindow(values=rng.normal(5.0, 3.0, size=(4, 30)), end_index=30)
     s = standardize(w)
@@ -108,6 +110,12 @@ def test_standardize_zero_mean_unit_population_variance():
     # population (ddof=0) variance, not sample variance
     assert np.allclose(s.values.std(axis=1), 1.0, atol=1e-12)
     assert s.end_index == 30
+    record = RawDataSource(values=rng.normal(-2.0, 7.0, size=(6, 200)))
+    strided = cut_window(record, WindowSpec(N=6, T=50), end_index=130).values
+    assert not strided.flags.c_contiguous
+    for x in (strided, np.ascontiguousarray(strided), w.values):
+        expect = (x - x.mean(1, keepdims=True)) / x.std(1)[:, None]
+        assert np.array_equal(standardize(RawWindow(values=x, end_index=50)).values, expect)
 
 
 def test_standardize_constant_row_raises_with_row_index():
@@ -203,6 +211,21 @@ def test_load_csv_fallback_keeps_located_errors(tmp_path, text, where):
     kind = "non-finite" if "nan" in text or "inf" in text else "unparseable"
     assert (err.value.row, err.value.col, str(err.value)) == (
         row, col, f"{kind} value at row {row}, column {col}"
+    )
+
+
+@pytest.mark.parametrize("cell, kind", [("x", "unparseable"), ("nan", "non-finite")])
+def test_load_csv_names_a_bad_cell_in_the_last_row(tmp_path, cell, kind):
+    """A bad cell in the last of 3000 rows, under a header, is named by its
+    row and column."""
+    rows = ["a,b,c,d"] + [f"{i},1.5,2.5,3.5" for i in range(3000)]
+    rows[-1] = f"7,8,{cell},9"
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, skip_header=True)
+    assert (err.value.row, err.value.col, str(err.value)) == (
+        3001, 3, f"{kind} value at row 3001, column 3"
     )
 
 
