@@ -57,7 +57,8 @@ class RawDataSource:
         low, high = self.values.min(axis=1), self.values.max(axis=1)
         if not (np.isfinite(low).all() and np.isfinite(high).all()):
             raise ValueError("source contains non-finite entries")
-        flat = np.flatnonzero(high - low <= SIGMA_FLOOR)
+        with np.errstate(over="ignore"):  # an infinite range is not constant
+            flat = np.flatnonzero(high - low <= SIGMA_FLOOR)
         object.__setattr__(self, "constant_rows", tuple(flat.tolist()))
 
     @property
@@ -132,44 +133,149 @@ def standardize(window: RawWindow) -> StandardizedWindow:
 def load_csv(path, skip_header: bool = False) -> RawDataSource:
     """Read a source matrix from CSV: one row per channel, one column per sample.
 
-    The file is read as UTF-8, a bad byte replaced so that it makes a bad
-    cell. One text handle counts the lines, then hands them to np.loadtxt
-    in blocks of about _BLOCK_CHARS, so it makes no record-sized array of
-    its own; the rows go into one array from `_mapped` (see there why) with
-    a row for every line. A block it rejects, or that has another width or
-    a non-finite value, is read again only to name its first bad cell
-    (`_bad_cell`)."""
-    out, rows, width, next_row = None, 0, None, 1 + skip_header
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        lines_in_file = sum(1 for _ in fh)
+    The file is read as UTF-8, a leading byte-order mark dropped and a bad
+    byte replaced so that it makes a bad cell. One text handle counts the
+    lines, then hands the text to np.loadtxt in pieces of at most
+    _PIECE_CHARS characters: short lines grouped into blocks, and a longer
+    line cut at commas, so that each piece starts and ends on a cell
+    boundary. A line that holds a quote is parsed whole. So no parse sees
+    more than a piece, and the reader keeps no more than the line it is
+    cutting; each piece's cells go into one array from `_mapped` (see there
+    why), with a row for every line, at their row and column. The record is
+    as wide as the first line that holds a cell, counted by its commas when
+    it holds no quote. A block or a line that np.loadtxt rejects, or that
+    has another width or a non-finite value, is read again only to name its
+    first bad cell (`_bad_cell`), a cut line whole."""
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
+        lines_in_file, text = 0, ""
+        for text in iter(lambda: fh.read(_PIECE_CHARS), ""):
+            lines_in_file += text.count("\n")
+        lines_in_file += bool(text) and not text.endswith("\n")
         fh.seek(0)
         if skip_header:
-            fh.readline()
-        while lines := fh.readlines(_BLOCK_CHARS):
-            first_row, next_row = next_row, next_row + len(lines)
-            if all(line == "\n" for line in lines):
-                continue  # np.loadtxt would warn that it found no data
-            try:
-                part = np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2, comments=None)
-            except ValueError:  # a bad cell or a ragged row
-                raise _bad_cell(lines, first_row, width) from None
-            width = width or part.shape[1]
-            if part.shape[1] != width or not np.all(np.isfinite(part)):
-                raise _bad_cell(lines, first_row, width)
-            if out is None:
-                out = _mapped((lines_in_file, width))
-            out[rows : rows + len(part)] = part
-            rows += len(part)
-    if out is None:
-        raise DimensionMismatch("the CSV holds no data rows")
-    values = out[:rows]
-    values.setflags(write=False)
-    return RawDataSource(values)
+            while _continues(fh.readline(_PIECE_CHARS)):
+                pass
+        record = _CsvRecord(lines_in_file, _first_width(fh))
+        block, chars, row = [], 0, 1 + skip_header
+        while piece := fh.readline(_PIECE_CHARS):
+            if _continues(piece) or chars + len(piece) > _PIECE_CHARS:
+                record.add_lines(block, row - len(block))
+                block, chars = [], 0
+            if _continues(piece):
+                record.add_long_line(fh, piece, row)
+            else:
+                block.append(piece)
+                chars += len(piece)
+            row += 1
+        record.add_lines(block, row - len(block))
+    return record.source()
 
 
-# characters of text handed to one np.loadtxt call, plus the line that
-# crosses it: a 118 x 20000 record's rows, about 480 KB each, go two a block
-_BLOCK_CHARS = 1 << 19
+# the most characters of text in one np.loadtxt call, but for a long line
+# that holds a quote: a 118 x 20000 record's rows, about 480 KB each, go in
+# 8 pieces, and np.loadtxt's tokenizer, at 4 bytes a character, buffers at
+# most 256 KiB
+_PIECE_CHARS = 1 << 16
+
+
+def _continues(piece: str) -> bool:
+    """Whether a read of at most _PIECE_CHARS characters stopped inside its
+    line. The read after one that fills a line up to the end of the file is
+    empty, and ends that line."""
+    return len(piece) == _PIECE_CHARS and not piece.endswith("\n")
+
+
+def _parse(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2, comments=None)
+
+
+def _first_width(fh) -> int | None:
+    """The cells of the first line ahead in `fh` that is not blank, counted
+    a piece at a time as its commas plus one; None if there is no such line
+    or it holds a quote, which only a parse can count. `fh` is left where
+    it was."""
+    start, commas = fh.tell(), 0
+    while (first := fh.readline(_PIECE_CHARS)) == "\n":
+        pass
+    piece = first
+    while '"' not in piece:
+        commas += piece.count(",")
+        if not _continues(piece):
+            break
+        piece = fh.readline(_PIECE_CHARS)
+    fh.seek(start)
+    return commas + 1 if first and '"' not in piece else None
+
+
+def _cells(text: str) -> np.ndarray | None:
+    """The values of the cells in `text`, part of a line without quotes;
+    None if one of them is empty, does not parse or is not finite."""
+    if text in ("", "\n"):
+        return None  # an empty cell, which np.loadtxt takes for a blank line
+    try:
+        values = _parse([text])[0]
+    except ValueError:
+        return None
+    return values if np.all(np.isfinite(values)) else None
+
+
+class _CsvRecord:
+    """The rows that `load_csv` has parsed, in one array from `_mapped` with
+    a row for every line of the file, made once the width is known."""
+
+    def __init__(self, lines_in_file: int, width: int | None):
+        self.lines_in_file, self.width, self.rows = lines_in_file, width, 0
+        self.out = None if width is None else _mapped((lines_in_file, width))
+
+    def add_lines(self, lines: list[str], first_row: int) -> None:
+        """Parse whole lines, the first of them at 1-based row `first_row`."""
+        if all(line == "\n" for line in lines):
+            return  # np.loadtxt would warn that it found no data
+        try:
+            part = _parse(lines)
+        except ValueError:  # a bad cell or a ragged row
+            raise _bad_cell(lines, first_row, self.width) from None
+        self.width = self.width or part.shape[1]
+        if part.shape[1] != self.width or not np.all(np.isfinite(part)):
+            raise _bad_cell(lines, first_row, self.width)
+        if self.out is None:
+            self.out = _mapped((self.lines_in_file, self.width))
+        self.out[self.rows : self.rows + len(part)] = part
+        self.rows += len(part)
+
+    def add_long_line(self, fh, piece: str, row: int) -> None:
+        """Parse the line at `row` that `piece` starts and `fh` goes on
+        with, a piece at a time, each cut after its last comma. It is parsed
+        whole once it shows a quote, or if the record is not yet made."""
+        parts, carry, col = [], "", 0
+        while '"' not in piece and self.out is not None:
+            parts.append(piece)
+            text, more = carry + piece, _continues(piece)
+            cut = text.rfind(",") if more else len(text)
+            if cut < 0:  # a cell longer than a piece
+                carry, piece = text, fh.readline(_PIECE_CHARS)
+                continue
+            head, carry = text[:cut], text[cut + 1 :]
+            end = col + head.count(",") + 1
+            fits = end <= self.width if more else end == self.width
+            cells = _cells(head) if fits else None
+            if cells is None:
+                line = "".join(parts) + (fh.readline() if more else "")
+                raise _bad_cell([line], row, self.width)
+            self.out[self.rows, col:end] = cells
+            if not more:
+                self.rows += 1
+                return
+            col, piece = end, fh.readline(_PIECE_CHARS)
+        rest = fh.readline() if _continues(piece) else ""
+        self.add_lines(["".join(parts) + piece + rest], row)
+
+    def source(self) -> RawDataSource:
+        if self.out is None:
+            raise DimensionMismatch("the CSV holds no data rows")
+        values = self.out[: self.rows]
+        values.setflags(write=False)
+        return RawDataSource(values)
 
 
 def _bad_cell(lines: list[str], first_row: int, width: int | None) -> CsvParseError:
@@ -201,13 +307,15 @@ def _mapped(shape: tuple[int, ...]) -> np.ndarray:
 
     This is the data model's one allocation for a record: a source's copy
     of a record it cannot adopt (`_frozen`) and a parsed CSV (`load_csv`)
-    both come from here. `load_csv` asks for a row per line of its file;
-    the rows of blank lines and a header are never written, so their pages
-    are never resident. An array on the process heap would
-    stay resident after it is freed: once glibc frees one large block it
-    raises its map and trim thresholds to that block's size, so later
-    records of that size go on the heap, where a freed one is kept for
-    reuse. A map goes back to the system as soon as the array and every
+    both come from here. `load_csv` asks for a row per line of its file and
+    writes each piece's cells at their row and column, so no parse makes a
+    record-sized array; the rows of blank lines and a header are never
+    written, so their pages are never resident. An array on the process
+    heap would stay resident after it is freed: once glibc frees one large
+    block it raises its map and trim thresholds to that block's size, so
+    later records of that size go on the heap, where a freed one is kept
+    for reuse (and `np.loadtxt` grows its result there by realloc, which
+    can hold the old and the new block at once). A map goes back to the system as soon as the array and every
     view of it are dropped. A window's copy stays on the heap, where it is
     cheaper than a map's page faults and munmap."""
     size = math.prod(shape)

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,17 @@ def test_source_names_rows_constant_over_the_record():
     values[3] = -1.0
     values[2, 4] = values[2, 3]  # constant only in part of the row
     assert RawDataSource(values=values).constant_rows == (0, 1, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_source_takes_row_ranges_past_the_float_limit_without_warning(tmp_path):
+    """A range past the largest float is infinite, not constant, and takes
+    no overflow warning; a row constant near that limit is still constant."""
+    path = tmp_path / "data.csv"
+    path.write_text("1e308,-1e308\n2,3\n")
+    assert load_csv(path).constant_rows == ()
+    values = [[1e308, -1e308, 0.0], [1.7e308, 1.7e308, 1.7e308], [-1.7e308, 0.0, 1.7e308]]
+    assert RawDataSource(values=values).constant_rows == (1,)
 
 
 def test_source_rejects_an_empty_record():
@@ -226,6 +238,35 @@ def test_load_csv_names_a_bad_cell_in_the_last_row(tmp_path, cell, kind):
         load_csv(path, skip_header=True)
     assert (err.value.row, err.value.col, str(err.value)) == (
         3001, 3, f"{kind} value at row 3001, column 3"
+    )
+
+
+@pytest.mark.parametrize("skip_header", [False, True])
+def test_load_csv_drops_a_leading_byte_order_mark(tmp_path, skip_header):
+    text = b"1,2,3\n4,5,6\n7,8,9\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    expect = load_csv(plain, skip_header=skip_header).values
+    assert np.array_equal(load_csv(marked, skip_header=skip_header).values, expect)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (b"1,2\n\xef\xbb\xbf3,4\n", (2, 1)),
+        (b"1,\xef\xbb\xbf2\n3,4\n", (1, 2)),
+        (b"\xef\xbb\xbf\xef\xbb\xbf1,2\n3,4\n", (1, 1)),  # only the first mark goes
+    ],
+)
+def test_load_csv_takes_a_byte_order_mark_elsewhere_as_a_bad_cell(tmp_path, text, where):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path)
+    row, col = where
+    assert (err.value.row, err.value.col, str(err.value)) == (
+        row, col, f"unparseable value at row {row}, column {col}"
     )
 
 
@@ -393,7 +434,7 @@ def test_load_csv_row_bound_covers_every_line_ending(tmp_path, monkeypatch, text
 def test_load_csv_fast_path_across_blocks(tmp_path, monkeypatch, text, expect):
     """Parsed a line or two per np.loadtxt call, load_csv still keeps blank
     lines out and refuses a ragged or non-finite later row, naming it."""
-    monkeypatch.setattr(data_model, "_BLOCK_CHARS", 4)
+    monkeypatch.setattr(data_model, "_PIECE_CHARS", 4)
     path = tmp_path / "data.csv"
     path.write_text(text)
     if expect is None:
@@ -405,8 +446,9 @@ def test_load_csv_fast_path_across_blocks(tmp_path, monkeypatch, text, expect):
 
 
 def test_load_csv_scans_only_the_rejected_block(tmp_path, monkeypatch):
-    """A bad cell in the last block is located from that block's lines."""
-    monkeypatch.setattr(data_model, "_BLOCK_CHARS", 3)
+    """A bad cell in the last line, which is cut into pieces, is located
+    from that line alone, read whole."""
+    monkeypatch.setattr(data_model, "_PIECE_CHARS", 3)
     scanned = []
     real = data_model._bad_cell
     monkeypatch.setattr(data_model, "_bad_cell", lambda *a: scanned.append(a) or real(*a))
@@ -416,3 +458,76 @@ def test_load_csv_scans_only_the_rejected_block(tmp_path, monkeypatch):
         load_csv(path)
     assert (err.value.row, err.value.col) == (4, 2)
     assert scanned == [(["7,x\n"], 4, 2)]
+
+
+def long_rows(count: int = 3) -> list[list[str]]:
+    """Rows of 12 four-character cells, 59 characters a line: with
+    _PIECE_CHARS at 5 to 13, every line is cut into several pieces."""
+    return [[f"{r}.{c:02d}" for c in range(12)] for r in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("piece", [5, 8, 13])
+@pytest.mark.parametrize(
+    "edit, row, col, message",
+    [
+        (lambda r: r[:8] + ["oops"] + r[9:], 2, 9, "unparseable value at row 2, column 9"),
+        (lambda r: r[:8] + ["nan"] + r[9:], 2, 9, "non-finite value at row 2, column 9"),
+        (lambda r: r[:8] + [""] + r[9:], 2, 9, "unparseable value at row 2, column 9"),
+        (lambda r: r[:-1], 2, 0, "ragged row 2: 11 cells, not 12"),
+        (lambda r: r + ["9.99"], 2, 0, "ragged row 2: 13 cells, not 12"),
+        (lambda r: r + r, 2, 0, "ragged row 2: 24 cells, not 12"),  # past the width mid-line
+        (lambda r: r + [""], 2, 13, "unparseable value at row 2, column 13"),  # a trailing comma
+    ],
+    ids=["bad", "nan", "empty", "short", "long", "twice", "trailing-comma"],
+)
+def test_load_csv_names_a_bad_cell_across_pieces(tmp_path, monkeypatch, piece, edit, row, col, message):
+    """A line cut into pieces is refused with the row, column and message
+    that the whole line would give, wherever the pieces end."""
+    monkeypatch.setattr(data_model, "_PIECE_CHARS", piece)
+    rows = long_rows()
+    rows[1] = edit(rows[1])
+    path = tmp_path / "data.csv"
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path)
+    assert (err.value.row, err.value.col, str(err.value)) == (row, col, message)
+
+
+@pytest.mark.parametrize("piece", [5, 8, 13])
+def test_load_csv_reads_long_lines_across_pieces(tmp_path, monkeypatch, piece):
+    """Long lines read the same cut into pieces: blank lines between them,
+    a line quoted throughout, a first line whose quote comes late, and a
+    cell longer than a piece. Each line that holds a quote is parsed whole."""
+    monkeypatch.setattr(data_model, "_PIECE_CHARS", piece)
+    parsed = []
+    real = data_model._parse
+    monkeypatch.setattr(data_model, "_parse", lambda lines: parsed.extend(lines) or real(lines))
+    rows = long_rows(4)
+    rows[3][5] = "4.050000000000000"
+    lines = [",".join(r) for r in rows]
+    lines[0] = ",".join(rows[0][:-1]) + f',"{rows[0][-1]}"'
+    lines[2] = ",".join(f'"{cell}"' for cell in rows[2])
+    path = tmp_path / "data.csv"
+    path.write_text("\n\n".join(lines) + "\n\n")
+    expect = [[float(cell) for cell in r] for r in rows]
+    assert np.array_equal(load_csv(path).values, expect)
+    assert [text for text in parsed if '"' in text] == [lines[0] + "\n", lines[2] + "\n"]
+
+
+def test_load_csv_peak_stays_under_two_of_its_longest_lines(tmp_path):
+    """Reading a 3 x 100000 CSV of 17-digit values, whose lines are about
+    1.9 MB, allocates at its peak no more than twice the longest line: the
+    text goes to np.loadtxt in pieces, and the record is a map."""
+    data = np.random.default_rng(13).normal(size=(3, 100000))
+    path = tmp_path / "wide.csv"
+    np.savetxt(path, data, fmt="%.17g", delimiter=",")
+    with open(path) as fh:
+        longest = max(len(line) for line in fh)
+    tracemalloc.start()
+    try:
+        source = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(source.values, data)
+    assert peak <= 2 * longest, f"peak {peak / longest:.2f} lines"
