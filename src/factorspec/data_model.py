@@ -118,10 +118,19 @@ def cut_window(source: RawDataSource, spec: WindowSpec, end_index: int) -> RawWi
 def standardize(window: RawWindow) -> StandardizedWindow:
     """Z-score each row to mean 0, population variance 1; a constant row
     raises DegenerateRow. The rows are centred once, and the std is taken
-    from the centred rows, bit for bit as `x.std(axis=1)` takes it."""
+    from the centred rows, bit for bit as `x.std(axis=1)` takes it. A row so
+    large that its std overflows (its squares pass the float limit, or its
+    sum does) is scaled by a power of two, to a largest magnitude in
+    [0.5, 1), and standardized again: a z-score does not depend on scale,
+    and scaling by a power of two commutes with rounding, so its z-scores
+    are those of the row scaled any other way that does not overflow."""
     x = window.values
-    out = x - x.mean(axis=1, keepdims=True)
-    std = np.sqrt(np.mean(out * out, axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, std = _centred(x)
+        big = np.flatnonzero(~np.isfinite(std))
+        if big.size:
+            _, exponent = np.frexp(np.abs(x[big]).max(axis=1, keepdims=True))
+            out[big], std[big] = _centred(np.ldexp(x[big], -exponent))
     low = np.nonzero(std <= SIGMA_FLOOR)[0]
     if low.size:
         raise DegenerateRow(int(low[0]))
@@ -130,22 +139,27 @@ def standardize(window: RawWindow) -> StandardizedWindow:
     return StandardizedWindow(values=out, end_index=window.end_index)
 
 
+def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `x` less their means, and the rows' population std."""
+    out = x - x.mean(axis=1, keepdims=True)
+    return out, np.sqrt(np.mean(out * out, axis=1))
+
+
 def load_csv(path, skip_header: bool = False) -> RawDataSource:
     """Read a source matrix from CSV: one row per channel, one column per sample.
 
     The file is read as UTF-8, a leading byte-order mark dropped and a bad
     byte replaced so that it makes a bad cell. One text handle counts the
-    lines, then hands the text to np.loadtxt in pieces of at most
-    _PIECE_CHARS characters: short lines grouped into blocks, and a longer
-    line cut at commas, so that each piece starts and ends on a cell
-    boundary. A line that holds a quote is parsed whole. So no parse sees
-    more than a piece, and the reader keeps no more than the line it is
-    cutting; each piece's cells go into one array from `_mapped` (see there
-    why), with a row for every line, at their row and column. The record is
-    as wide as the first line that holds a cell, counted by its commas when
-    it holds no quote. A block or a line that np.loadtxt rejects, or that
-    has another width or a non-finite value, is read again only to name its
-    first bad cell (`_bad_cell`), a cut line whole."""
+    lines, then reads them one at a time, in pieces of at most _PIECE_CHARS
+    characters, each cut after its last comma so that it starts and ends on
+    a cell boundary; np.loadtxt parses each piece, and a line that holds a
+    quote whole. So no parse sees more than a piece of one line, and the
+    reader keeps no more than the line it is cutting. Each piece's cells go
+    into one array from `_mapped` (see there why), with a row for every
+    line, at their row and column; it is made when the first line that
+    holds a cell ends, as wide as that line. A piece that np.loadtxt
+    rejects or reads as non-finite is read again cell by cell to name its
+    first bad cell (`_bad_cell`); a line of another width names its row."""
     with open(path, encoding="utf-8-sig", errors="replace") as fh:
         lines_in_file, text = 0, ""
         for text in iter(lambda: fh.read(_PIECE_CHARS), ""):
@@ -155,26 +169,18 @@ def load_csv(path, skip_header: bool = False) -> RawDataSource:
         if skip_header:
             while _continues(fh.readline(_PIECE_CHARS)):
                 pass
-        record = _CsvRecord(lines_in_file, _first_width(fh))
-        block, chars, row = [], 0, 1 + skip_header
-        while piece := fh.readline(_PIECE_CHARS):
-            if _continues(piece) or chars + len(piece) > _PIECE_CHARS:
-                record.add_lines(block, row - len(block))
-                block, chars = [], 0
-            if _continues(piece):
-                record.add_long_line(fh, piece, row)
-            else:
-                block.append(piece)
-                chars += len(piece)
-            row += 1
-        record.add_lines(block, row - len(block))
+        record = _CsvRecord(lines_in_file)
+        pieces = iter(lambda: fh.readline(_PIECE_CHARS), "")
+        for row, piece in enumerate(pieces, start=1 + skip_header):
+            if piece != "\n":  # a blank line
+                record.add_line(fh, piece, row)
     return record.source()
 
 
-# the most characters of text in one np.loadtxt call, but for a long line
+# the most characters of one line in one np.loadtxt call, but for a line
 # that holds a quote: a 118 x 20000 record's rows, about 480 KB each, go in
-# 8 pieces, and np.loadtxt's tokenizer, at 4 bytes a character, buffers at
-# most 256 KiB
+# 8 pieces, a short line in one, and np.loadtxt's tokenizer, at 4 bytes a
+# character, buffers at most 256 KiB
 _PIECE_CHARS = 1 << 16
 
 
@@ -189,66 +195,33 @@ def _parse(lines: list[str]) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2, comments=None)
 
 
-def _first_width(fh) -> int | None:
-    """The cells of the first line ahead in `fh` that is not blank, counted
-    a piece at a time as its commas plus one; None if there is no such line
-    or it holds a quote, which only a parse can count. `fh` is left where
-    it was."""
-    start, commas = fh.tell(), 0
-    while (first := fh.readline(_PIECE_CHARS)) == "\n":
-        pass
-    piece = first
-    while '"' not in piece:
-        commas += piece.count(",")
-        if not _continues(piece):
-            break
-        piece = fh.readline(_PIECE_CHARS)
-    fh.seek(start)
-    return commas + 1 if first and '"' not in piece else None
-
-
-def _cells(text: str) -> np.ndarray | None:
-    """The values of the cells in `text`, part of a line without quotes;
-    None if one of them is empty, does not parse or is not finite."""
+def _values(text: str) -> np.ndarray | None:
+    """The values of the cells in `text`, part of one line; None if
+    np.loadtxt refuses one of them, or if `text` is one empty cell, which
+    np.loadtxt would take for a blank line."""
     if text in ("", "\n"):
-        return None  # an empty cell, which np.loadtxt takes for a blank line
+        return None
     try:
-        values = _parse([text])[0]
+        return _parse([text])[0]
     except ValueError:
         return None
-    return values if np.all(np.isfinite(values)) else None
 
 
 class _CsvRecord:
     """The rows that `load_csv` has parsed, in one array from `_mapped` with
-    a row for every line of the file, made once the width is known."""
+    a row for every line of the file, made when the first row ends."""
 
-    def __init__(self, lines_in_file: int, width: int | None):
-        self.lines_in_file, self.width, self.rows = lines_in_file, width, 0
-        self.out = None if width is None else _mapped((lines_in_file, width))
+    def __init__(self, lines_in_file: int):
+        self.lines_in_file, self.out, self.rows = lines_in_file, None, 0
 
-    def add_lines(self, lines: list[str], first_row: int) -> None:
-        """Parse whole lines, the first of them at 1-based row `first_row`."""
-        if all(line == "\n" for line in lines):
-            return  # np.loadtxt would warn that it found no data
-        try:
-            part = _parse(lines)
-        except ValueError:  # a bad cell or a ragged row
-            raise _bad_cell(lines, first_row, self.width) from None
-        self.width = self.width or part.shape[1]
-        if part.shape[1] != self.width or not np.all(np.isfinite(part)):
-            raise _bad_cell(lines, first_row, self.width)
-        if self.out is None:
-            self.out = _mapped((self.lines_in_file, self.width))
-        self.out[self.rows : self.rows + len(part)] = part
-        self.rows += len(part)
-
-    def add_long_line(self, fh, piece: str, row: int) -> None:
-        """Parse the line at `row` that `piece` starts and `fh` goes on
-        with, a piece at a time, each cut after its last comma. It is parsed
-        whole once it shows a quote, or if the record is not yet made."""
-        parts, carry, col = [], "", 0
-        while '"' not in piece and self.out is not None:
+    def add_line(self, fh, piece: str, row: int) -> None:
+        """Parse the line at 1-based `row` that `piece` starts and `fh` goes
+        on with, a piece at a time, each cut after its last comma; once it
+        shows a quote, it is parsed whole. The cells of a line wider than
+        the record are still parsed, so that a bad one is named first."""
+        width = None if self.out is None else self.out.shape[1]
+        parts, firsts, carry, col = [], [], "", 0
+        while '"' not in piece:
             parts.append(piece)
             text, more = carry + piece, _continues(piece)
             cut = text.rfind(",") if more else len(text)
@@ -256,19 +229,32 @@ class _CsvRecord:
                 carry, piece = text, fh.readline(_PIECE_CHARS)
                 continue
             head, carry = text[:cut], text[cut + 1 :]
-            end = col + head.count(",") + 1
-            fits = end <= self.width if more else end == self.width
-            cells = _cells(head) if fits else None
-            if cells is None:
-                line = "".join(parts) + (fh.readline() if more else "")
-                raise _bad_cell([line], row, self.width)
-            self.out[self.rows, col:end] = cells
+            values = _values(head)
+            if values is None or not np.all(np.isfinite(values)):
+                raise _bad_cell(head.rstrip("\n").split(","), row, col)
+            end = col + len(values)
+            if width is None:
+                firsts.append(values)
+            elif end <= width:
+                self.out[self.rows, col:end] = values
             if not more:
-                self.rows += 1
-                return
+                break
             col, piece = end, fh.readline(_PIECE_CHARS)
-        rest = fh.readline() if _continues(piece) else ""
-        self.add_lines(["".join(parts) + piece + rest], row)
+        else:  # the line shows a quote
+            line = "".join(parts) + piece + (fh.readline() if _continues(piece) else "")
+            values = _values(line)
+            if values is None or not np.all(np.isfinite(values)):
+                raise _bad_cell(next(csv.reader([line])), row, 0)
+            firsts, end = [values], len(values)
+            if end == width:
+                self.out[self.rows] = values
+        if width is None:
+            width = end
+            self.out = _mapped((self.lines_in_file, width))
+            np.concatenate(firsts, out=self.out[0])
+        if end != width:
+            raise CsvParseError(row, 0, f"ragged row {row}: {end} cells, not {width}")
+        self.rows += 1
 
     def source(self) -> RawDataSource:
         if self.out is None:
@@ -278,27 +264,20 @@ class _CsvRecord:
         return RawDataSource(values)
 
 
-def _bad_cell(lines: list[str], first_row: int, width: int | None) -> CsvParseError:
-    """The error for a block of lines that starts at 1-based row `first_row`:
-    its first cell that Python's float cannot read or reads as non-finite,
-    or its first row that is not `width` cells wide (the width of its first
-    row when `width` is None). It names the block's first row if no cell is
-    bad to float, as with a spelling only float accepts, such as 1_0."""
-    for row, record in enumerate(csv.reader(lines), start=first_row):
-        if not record:
-            continue
-        for col, cell in enumerate(record, start=1):
-            try:
-                value = float(cell)
-            except ValueError:
-                return CsvParseError(row, col)
-            if not math.isfinite(value):
-                return CsvParseError(row, col, f"non-finite value at row {row}, column {col}")
-        width = width or len(record)
-        if len(record) != width:
-            return CsvParseError(row, 0, f"ragged row {row}: {len(record)} cells, not {width}")
-    last = first_row + len(lines) - 1
-    return CsvParseError(first_row, 0, f"unparseable value in rows {first_row} to {last}")
+def _bad_cell(cells: list[str], row: int, start: int) -> CsvParseError:
+    """The error for the first of `cells`, which follow column `start` of
+    1-based row `row`, that np.loadtxt refuses or reads as non-finite. Each
+    cell is parsed quoted, so that np.loadtxt reads it whole, as it read it
+    in its line. The caller has seen a bad one; should no cell be bad alone
+    (np.loadtxt and csv.reader are not known to split a line differently),
+    the first is named."""
+    for col, cell in enumerate(cells, start=start + 1):
+        values = _values('"' + cell.replace('"', '""') + '"')
+        if values is None:
+            return CsvParseError(row, col)
+        if not np.isfinite(values[0]):
+            return CsvParseError(row, col, f"non-finite value at row {row}, column {col}")
+    return CsvParseError(row, start + 1)
 
 
 def _mapped(shape: tuple[int, ...]) -> np.ndarray:

@@ -440,6 +440,22 @@ def test_detect_names_a_byte_that_is_not_utf8_as_a_bad_cell(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_detect_scores_a_csv_row_at_the_float_limit(small_csv, tmp_path):
+    """A channel of +-1.7e308 reads, and standardizes to the bits of that
+    channel scaled by 2**-1024, so detect writes the timeline of the
+    scaled record."""
+    x = np.loadtxt(small_csv, delimiter=",")
+    x[3] = np.where(x[3] < 0, -1.7e308, 1.7e308)
+    huge, scaled = tmp_path / "huge.csv", tmp_path / "scaled.csv"
+    np.savetxt(huge, x, fmt="%.17g", delimiter=",")
+    x[3] = np.ldexp(x[3], -1024)
+    np.savetxt(scaled, x, fmt="%.17g", delimiter=",")
+    assert run_detect(huge, tmp_path / "huge") == EXIT_OK
+    assert run_detect(scaled, tmp_path / "scaled") == EXIT_OK
+    timeline = "timeline_run000.csv"
+    assert (tmp_path / "huge" / timeline).read_bytes() == (tmp_path / "scaled" / timeline).read_bytes()
+
+
 def test_detect_rejects_bad_counts(small_csv, tmp_path):
     assert run_detect(small_csv, tmp_path / "o", ["--runs", "0"]) == EXIT_CONFIG
 

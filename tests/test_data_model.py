@@ -130,6 +130,33 @@ def test_standardize_zero_mean_unit_population_variance():
         assert np.array_equal(standardize(RawWindow(values=x, end_index=50)).values, expect)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [200, 600, 1000])
+def test_standardize_takes_a_row_scaled_past_the_float_limit(k):
+    """A row times 2**k standardizes to the bits of the unscaled row, with
+    no overflow at k = 200 and with its squares past the float limit at 600
+    and 1000; the other rows are untouched."""
+    x = np.random.default_rng(5).normal(size=(4, 40))
+    expect = standardize(RawWindow(values=x, end_index=40)).values
+    big = x.copy()
+    big[2] = np.ldexp(x[2], k)
+    assert np.array_equal(standardize(RawWindow(values=big, end_index=40)).values, expect)
+
+
+@pytest.mark.filterwarnings("error")
+def test_standardize_takes_a_row_at_the_float_limit():
+    """A row of +-1.7e308, whose sum passes the float limit, standardizes
+    to the bits of that row times 2**-1024."""
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(3, 30))
+    x[1] = np.where(rng.random(30) < 0.5, -1.7e308, 1.7e308)
+    expect = x.copy()
+    expect[1] = np.ldexp(x[1], -1024)
+    got = standardize(RawWindow(values=x, end_index=30)).values
+    assert np.array_equal(got, standardize(RawWindow(values=expect, end_index=30)).values)
+    assert np.all(np.isfinite(got))
+
+
 def test_standardize_constant_row_raises_with_row_index():
     vals = np.random.default_rng(0).normal(size=(4, 20))
     vals[2] = 7.5
@@ -186,13 +213,28 @@ def test_load_csv_reads_quoted_cells(tmp_path):
 
 
 def test_load_csv_refuses_spellings_only_python_float_reads(tmp_path):
-    """np.loadtxt refuses 1_0; no cell is bad to float, so the error names
-    the rejected block's first row."""
+    """np.loadtxt refuses 1_0, which Python's float reads, and the error
+    names it by its row and column."""
     path = tmp_path / "data.csv"
     path.write_text("1_0,2\n3,4\n")
     with pytest.raises(CsvParseError) as err:
         load_csv(path)
-    assert (err.value.row, err.value.col) == (1, 0)
+    assert (err.value.row, err.value.col, str(err.value)) == (
+        1, 1, "unparseable value at row 1, column 1"
+    )
+
+
+@pytest.mark.parametrize("cell", ['"1,5"', '"""2"""', '"1_0"'], ids=["comma", "quotes", "underscore"])
+def test_load_csv_names_a_bad_quoted_cell(tmp_path, cell):
+    """A quoted cell is judged by what np.loadtxt reads inside its quotes:
+    two numbers, a number in quotes and 1_0 are each one bad cell."""
+    path = tmp_path / "data.csv"
+    path.write_text(f"1,2,3\n4,{cell},6\n")
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path)
+    assert (err.value.row, err.value.col, str(err.value)) == (
+        2, 2, "unparseable value at row 2, column 2"
+    )
 
 
 def test_load_csv_is_bit_exact_on_17_digit_values(tmp_path):
@@ -432,8 +474,8 @@ def test_load_csv_row_bound_covers_every_line_ending(tmp_path, monkeypatch, text
     ],
 )
 def test_load_csv_fast_path_across_blocks(tmp_path, monkeypatch, text, expect):
-    """Parsed a line or two per np.loadtxt call, load_csv still keeps blank
-    lines out and refuses a ragged or non-finite later row, naming it."""
+    """Parsed a piece of a line per np.loadtxt call, load_csv still keeps
+    blank lines out and refuses a ragged or non-finite later row, naming it."""
     monkeypatch.setattr(data_model, "_PIECE_CHARS", 4)
     path = tmp_path / "data.csv"
     path.write_text(text)
@@ -447,17 +489,39 @@ def test_load_csv_fast_path_across_blocks(tmp_path, monkeypatch, text, expect):
 
 def test_load_csv_scans_only_the_rejected_block(tmp_path, monkeypatch):
     """A bad cell in the last line, which is cut into pieces, is located
-    from that line alone, read whole."""
+    from the piece that np.loadtxt rejected alone, split at its commas; a
+    line that holds a quote is located from that line alone, split by
+    csv.reader."""
     monkeypatch.setattr(data_model, "_PIECE_CHARS", 3)
-    scanned = []
     real = data_model._bad_cell
-    monkeypatch.setattr(data_model, "_bad_cell", lambda *a: scanned.append(a) or real(*a))
+    for text, scan in [
+        ("1,2\n3,4\n5,6\n7,x\n", (["x"], 4, 1)),
+        ('1,2\n3,4\n5,6\n"7",x\n', (["7", "x"], 4, 0)),
+    ]:
+        scanned = []
+        monkeypatch.setattr(data_model, "_bad_cell", lambda *a: scanned.append(a) or real(*a))
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(CsvParseError) as err:
+            load_csv(path)
+        assert (err.value.row, err.value.col) == (4, 2)
+        assert scanned == [scan]
+
+
+ONLY_FLOAT_READS = ["1_0", "\u0661\u0662", "\uff11"]  # 1_0, Arabic-Indic 12, fullwidth 1
+
+
+@pytest.mark.parametrize("cell", ONLY_FLOAT_READS, ids=["underscore", "arabic-indic", "fullwidth"])
+def test_load_csv_names_a_cell_only_python_float_reads_before_a_later_bad_cell(tmp_path, cell):
+    """A cell that Python's float reads but np.loadtxt refuses is the bad
+    cell, not one in a later line."""
     path = tmp_path / "data.csv"
-    path.write_text("1,2\n3,4\n5,6\n7,x\n")
+    path.write_text(f"1,2\n{cell},3\n4,x\n", encoding="utf-8")
     with pytest.raises(CsvParseError) as err:
         load_csv(path)
-    assert (err.value.row, err.value.col) == (4, 2)
-    assert scanned == [(["7,x\n"], 4, 2)]
+    assert (err.value.row, err.value.col, str(err.value)) == (
+        2, 1, "unparseable value at row 2, column 1"
+    )
 
 
 def long_rows(count: int = 3) -> list[list[str]]:
@@ -477,8 +541,13 @@ def long_rows(count: int = 3) -> list[list[str]]:
         (lambda r: r + ["9.99"], 2, 0, "ragged row 2: 13 cells, not 12"),
         (lambda r: r + r, 2, 0, "ragged row 2: 24 cells, not 12"),  # past the width mid-line
         (lambda r: r + [""], 2, 13, "unparseable value at row 2, column 13"),  # a trailing comma
+        *[
+            (lambda r, cell=cell: r[:8] + [cell] + r[9:], 2, 9, "unparseable value at row 2, column 9")
+            for cell in ONLY_FLOAT_READS
+        ],
     ],
-    ids=["bad", "nan", "empty", "short", "long", "twice", "trailing-comma"],
+    ids=["bad", "nan", "empty", "short", "long", "twice", "trailing-comma"]
+    + ["underscore", "arabic-indic", "fullwidth"],
 )
 def test_load_csv_names_a_bad_cell_across_pieces(tmp_path, monkeypatch, piece, edit, row, col, message):
     """A line cut into pieces is refused with the row, column and message
@@ -487,7 +556,7 @@ def test_load_csv_names_a_bad_cell_across_pieces(tmp_path, monkeypatch, piece, e
     rows = long_rows()
     rows[1] = edit(rows[1])
     path = tmp_path / "data.csv"
-    path.write_text("".join(",".join(r) + "\n" for r in rows))
+    path.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
     with pytest.raises(CsvParseError) as err:
         load_csv(path)
     assert (err.value.row, err.value.col, str(err.value)) == (row, col, message)
@@ -531,3 +600,35 @@ def test_load_csv_peak_stays_under_two_of_its_longest_lines(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(source.values, data)
     assert peak <= 2 * longest, f"peak {peak / longest:.2f} lines"
+
+
+def spy_on_parse(monkeypatch) -> list[list[str]]:
+    calls = []
+    real = data_model._parse
+    monkeypatch.setattr(data_model, "_parse", lambda lines: calls.append(list(lines)) or real(lines))
+    return calls
+
+
+def test_load_csv_parses_one_line_at_a_time(tmp_path, monkeypatch):
+    """Each np.loadtxt call on a file of 3000 short lines gets the text of
+    one line, which ends the call's text if it ends there."""
+    calls = spy_on_parse(monkeypatch)
+    data = np.arange(3000 * 4, dtype=float).reshape(3000, 4)
+    path = tmp_path / "data.csv"
+    np.savetxt(path, data, fmt="%g", delimiter=",")
+    assert np.array_equal(load_csv(path).values, data)
+    assert len(calls) == 3000
+    assert all(len(lines) == 1 and "\n" not in lines[0][:-1] for lines in calls)
+
+
+@pytest.mark.parametrize("piece", [5, 8, 13])
+def test_load_csv_parses_no_two_lines_together_across_pieces(tmp_path, monkeypatch, piece):
+    """Cut into pieces, no np.loadtxt call gets text from two lines."""
+    monkeypatch.setattr(data_model, "_PIECE_CHARS", piece)
+    calls = spy_on_parse(monkeypatch)
+    rows = long_rows()
+    path = tmp_path / "data.csv"
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+    assert np.array_equal(load_csv(path).values, [[float(c) for c in r] for r in rows])
+    assert len(calls) > len(rows)
+    assert all(len(lines) == 1 and "\n" not in lines[0][:-1] for lines in calls)
