@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .data_model import SIGMA_FLOOR, RawDataSource, WindowSpec, load_csv
-from .datagen import Ar1Spec, PlantedFactorSpec, case_schedule, synthesize_case
+from .datagen import CASES, Ar1Spec, PlantedFactorSpec, case_schedule, synthesize_case
 from .errors import (
     ConfigError,
     FactorSpecError,
@@ -77,10 +77,11 @@ class RunConfig:
         """Return the run's search grid, or raise ConfigError for a missing
         source or an out-of-range option, before any record is read. Each
         rule is checked by its own owner: the grid by `SearchGrid`, the change
-        rule by `detect_changes` on an empty average, and the window geometry
-        by `WindowSpec` at the smallest row count, N = 2. The rules that need
-        the record's N are `SearchGrid.check_shape`'s, but as N < T, p_max <
-        window_length is checked here, before a p grid is built."""
+        rule by `detect_changes` on an empty average, the window geometry by
+        `WindowSpec` at the smallest row count, N = 2, and the case name by
+        `case_schedule`. The rules that need the record's N are
+        `SearchGrid.check_shape`'s, but as N < T, p_max < window_length is
+        checked here, before a p grid is built."""
         if (self.input_path is None) == (self.case is None):
             raise ConfigError("exactly one of --input or --case is required")
         if self.input_path is not None and not Path(self.input_path).exists():
@@ -105,6 +106,8 @@ class RunConfig:
             WindowSpec(N=2, T=self.window_length, stride=self.stride)
             Ar1Spec(b=self.noise_b)
             detect_changes(RunAverage((), (), (), 0), threshold=self.threshold, hold=self.hold)
+            if self.case is not None:
+                case_schedule(self.case)
             return self.grid()
         except (ValueError, InvalidCoefficient) as exc:
             raise ConfigError(str(exc)) from exc
@@ -168,7 +171,7 @@ def _dump_model_densities(out: Path, grid: SearchGrid, c: float, cache: ModelDen
     for b in grid.b_values:
         try:
             _write_curve(
-                out / f"model_density_b{b:.2f}.csv", cache, b, c, grid.epsilon, CURVE_POINTS
+                out / f"model_density_b{b:.3f}.csv", cache, b, c, grid.epsilon, CURVE_POINTS
             )
         except ModelDensityError:
             continue
@@ -303,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "detect", argument_default=argparse.SUPPRESS, help="run the moving-window (p, b) estimator"
     )
     det.add_argument("--input", dest="input_path", help="CSV source: one row per channel")
-    det.add_argument("--case", choices=["case1", "case2", "case3"], help="built-in synthetic case")
+    det.add_argument("--case", choices=sorted(CASES), help="built-in synthetic case")
     det.add_argument("--skip-header", action="store_true")
     det.add_argument("--window-length", type=int)
     det.add_argument("--stride", type=int)

@@ -34,14 +34,22 @@ def _frozen(values, allocate=np.empty) -> np.ndarray:
     return arr
 
 
-SIGMA_FLOOR = 1e-12  # a row whose standard deviation is at most this is constant
+SIGMA_FLOOR = 1e-12  # a row whose range (max - min) is at most this is flat
+
+
+def _flat_rows(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The rows whose range `high - low` is at most SIGMA_FLOOR; a constant
+    row's range is exactly 0 at any magnitude."""
+    with np.errstate(over="ignore"):  # an infinite range is not flat
+        return np.flatnonzero(high - low <= SIGMA_FLOOR)
 
 
 @dataclass(frozen=True)
 class RawDataSource:
     """Full n x t measurement record; columns are consecutive samples.
-    `constant_rows` lists the rows whose range is at most SIGMA_FLOOR, so
-    that every window's std is too (it is at most half the range)."""
+    `constant_rows` lists the rows that `_flat_rows` calls flat over the
+    whole record. A window's range is at most the record's, so such a row
+    is flat in every window, and `standardize` refuses every window."""
 
     values: np.ndarray
     constant_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -57,9 +65,7 @@ class RawDataSource:
         low, high = self.values.min(axis=1), self.values.max(axis=1)
         if not (np.isfinite(low).all() and np.isfinite(high).all()):
             raise ValueError("source contains non-finite entries")
-        with np.errstate(over="ignore"):  # an infinite range is not constant
-            flat = np.flatnonzero(high - low <= SIGMA_FLOOR)
-        object.__setattr__(self, "constant_rows", tuple(flat.tolist()))
+        object.__setattr__(self, "constant_rows", tuple(_flat_rows(low, high).tolist()))
 
     @property
     def n(self) -> int:
@@ -116,33 +122,23 @@ def cut_window(source: RawDataSource, spec: WindowSpec, end_index: int) -> RawWi
 
 
 def standardize(window: RawWindow) -> StandardizedWindow:
-    """Z-score each row to mean 0, population variance 1; a constant row
-    raises DegenerateRow. The rows are centred once, and the std is taken
-    from the centred rows, bit for bit as `x.std(axis=1)` takes it. A row so
-    large that its std overflows (its squares pass the float limit, or its
-    sum does) is scaled by a power of two, to a largest magnitude in
-    [0.5, 1), and standardized again: a z-score does not depend on scale,
-    and scaling by a power of two commutes with rounding, so its z-scores
-    are those of the row scaled any other way that does not overflow."""
+    """Z-score each row to mean 0, population variance 1; the first row
+    that `_flat_rows` calls flat raises DegenerateRow. Each row is scaled
+    by the power of two that brings its largest magnitude into [0.5, 1),
+    so nothing overflows, then centred and divided by its root mean square.
+    Such a scaling commutes with rounding, so the z-scores are bit for bit
+    `(x - x.mean(1)) / x.std(1)` wherever that does not overflow."""
     x = window.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, std = _centred(x)
-        big = np.flatnonzero(~np.isfinite(std))
-        if big.size:
-            _, exponent = np.frexp(np.abs(x[big]).max(axis=1, keepdims=True))
-            out[big], std[big] = _centred(np.ldexp(x[big], -exponent))
-    low = np.nonzero(std <= SIGMA_FLOOR)[0]
-    if low.size:
-        raise DegenerateRow(int(low[0]))
-    out /= std[:, None]
+    low, high = x.min(axis=1), x.max(axis=1)
+    flat = _flat_rows(low, high)
+    if flat.size:
+        raise DegenerateRow(int(flat[0]))
+    _, exponent = np.frexp(np.maximum(-low, high))
+    out = np.ldexp(x, -exponent[:, None])
+    out -= out.mean(axis=1, keepdims=True)
+    out /= np.sqrt(np.mean(out * out, axis=1))[:, None]
     out.setflags(write=False)
     return StandardizedWindow(values=out, end_index=window.end_index)
-
-
-def _centred(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of `x` less their means, and the rows' population std."""
-    out = x - x.mean(axis=1, keepdims=True)
-    return out, np.sqrt(np.mean(out * out, axis=1))
 
 
 def load_csv(path, skip_header: bool = False) -> RawDataSource:

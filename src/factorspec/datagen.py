@@ -177,20 +177,20 @@ def brute_force_spectrum(
     return np.concatenate(pooled)
 
 
+# the built-in step-event schedules (onset, offset) with their record
+# lengths, patterned on 118-channel case studies; `detect --case` offers these
+CASES = {
+    # single event stepping up at sample 500, record 899
+    "case1": (EventSchedule((Event(500, None),)), 899),
+    # two staggered events over a 1000-sample record
+    "case2": (EventSchedule((Event(401, None), Event(501, 900))), 1000),
+    # three staggered events over a 601-sample record
+    "case3": (EventSchedule((Event(351, None), Event(401, None), Event(501, None))), 601),
+}
+
+
 def case_schedule(name: str) -> tuple[EventSchedule, int]:
-    """Built-in step-event schedules (onset, offset) with their record
-    lengths, patterned on 118-channel case studies."""
-    cases = {
-        # single event stepping up at sample 500, record 899
-        "case1": (EventSchedule((Event(500, None),)), 899),
-        # two staggered events over a 1000-sample record
-        "case2": (EventSchedule((Event(401, None), Event(501, 900))), 1000),
-        # three staggered events over a 601-sample record
-        "case3": (
-            EventSchedule((Event(351, None), Event(401, None), Event(501, None))),
-            601,
-        ),
-    }
-    if name not in cases:
-        raise ValueError(f"unknown case {name!r}; expected one of {sorted(cases)}")
-    return cases[name]
+    """The schedule and record length of the built-in case `name`."""
+    if name not in CASES:
+        raise ValueError(f"unknown case {name!r}; expected one of {sorted(CASES)}")
+    return CASES[name]

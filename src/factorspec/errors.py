@@ -16,7 +16,7 @@ class DimensionMismatch(FactorSpecError):
 class DegenerateRow(FactorSpecError):
     def __init__(self, row: int, message: str = ""):
         self.row = row
-        super().__init__(message or f"row {row} has (near-)zero variance")
+        super().__init__(message or f"row {row} is flat: its range is at most SIGMA_FLOOR")
 
 
 class CsvParseError(FactorSpecError):

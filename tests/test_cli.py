@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from factorspec import Ar1Spec, SearchGrid, generate_ar1
-from factorspec import cli, model_spectrum
+from factorspec import cli, datagen, model_spectrum
 from factorspec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, RunConfig, main
 from factorspec.errors import ConfigError, FactorSpecError
 
@@ -210,12 +210,12 @@ def test_dump_densities_reads_the_input_once(small_csv, tmp_path, monkeypatch):
     assert run_detect(small_csv, out, ["--dump-densities"]) == EXIT_OK
     assert len(loads) == 1
     names = sorted(p.name for p in out.glob("model_density_b*.csv"))
-    assert names == [f"model_density_b{b}.csv" for b in ("0.00", "0.45", "0.90")]
+    assert names == [f"model_density_b{b}.csv" for b in ("0.000", "0.450", "0.900")]
     # the dumped curve is the one `spectrum` writes for the run's c = N / T
     curve = tmp_path / "curve.csv"
     args = ["spectrum", "--b", "0.45", "--c", repr(20 / 30), "--output", str(curve)]
     assert main(args) == EXIT_OK
-    assert (out / "model_density_b0.45.csv").read_bytes() == curve.read_bytes()
+    assert (out / "model_density_b0.450.csv").read_bytes() == curve.read_bytes()
 
 
 def test_dump_densities_builds_no_density_of_its_own(tmp_path, monkeypatch):
@@ -246,7 +246,38 @@ def test_dump_densities_skips_a_b_whose_density_fails(tmp_path):
          "--stride", "50", "--p-max", "2", "--b-step", "0.95", "--dump-densities"]
     )
     assert code == EXIT_OK
-    assert sorted(p.name for p in out.glob("model_density_b*.csv")) == ["model_density_b0.00.csv"]
+    assert sorted(p.name for p in out.glob("model_density_b*.csv")) == ["model_density_b0.000.csv"]
+
+
+def test_dump_densities_names_every_b_of_a_fine_grid(small_csv, tmp_path, monkeypatch):
+    """At --b-step 0.005 each of the 191 b values gets a file of its own,
+    the curve that `spectrum --b <b>` writes at the run's c = N / T. The
+    curves are written at 50 points, not 2000, to keep the test short."""
+    monkeypatch.setattr(cli, "CURVE_POINTS", 50)
+    out = tmp_path / "out"
+    assert run_detect(small_csv, out, ["--b-step", "0.005", "--dump-densities"]) == EXIT_OK
+    b_values = RunConfig(input_path=str(small_csv), b_step=0.005).grid().b_values
+    assert len(b_values) == 191
+    names = sorted(p.name for p in out.glob("model_density_b*.csv"))
+    assert names == [f"model_density_b{b:.3f}.csv" for b in b_values]
+    curve = tmp_path / "curve.csv"
+    for b in b_values:
+        args = ["--b", repr(b), "--c", repr(20 / 30), "--points", "50", "--output", str(curve)]
+        assert main(["spectrum", *args]) == EXIT_OK
+        assert (out / f"model_density_b{b:.3f}.csv").read_bytes() == curve.read_bytes(), b
+
+
+def test_detect_refuses_an_unknown_case_before_any_write(tmp_path):
+    """The case names are `datagen.CASES`'s: the parser offers those, and a
+    RunConfig with another is a ConfigError that writes nothing."""
+    config = RunConfig(case="case9", output_dir=str(tmp_path / "o"))
+    with pytest.raises(ConfigError, match="case9"):
+        cli.run_detect(config)
+    assert not (tmp_path / "o").exists()
+    parser = cli._build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (case,) = (a for a in commands.choices["detect"]._actions if a.dest == "case")
+    assert case.choices == sorted(datagen.CASES)
 
 
 def test_default_grid_reaches_b_max():

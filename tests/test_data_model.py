@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorspec import (
     RawDataSource,
@@ -163,6 +165,58 @@ def test_standardize_constant_row_raises_with_row_index():
     with pytest.raises(DegenerateRow) as err:
         standardize(RawWindow(values=vals, end_index=20))
     assert err.value.row == 2
+
+
+def test_standardize_refuses_a_row_constant_at_a_large_value():
+    """A row constant at 123456.789, or at any of 400 values from [1e4, 1e6],
+    has range 0 and raises DegenerateRow naming it; centring it leaves a
+    rounding residue far above SIGMA_FLOOR, so a std floor let it through."""
+    rng = np.random.default_rng(31)
+    vals = rng.normal(size=(3, 250))
+    for value in (123456.789, *rng.uniform(1e4, 1e6, size=400)):
+        vals[1] = value
+        with pytest.raises(DegenerateRow) as err:
+            standardize(RawWindow(values=vals, end_index=250))
+        assert err.value.row == 1, value
+
+
+def _row(kind: int, draw: float, noise: np.ndarray) -> np.ndarray:
+    """A row of `noise`'s length: a constant 10**k, 1 + 1e-14 * noise, a row
+    of +-1.7e308, or an ordinary row, as `kind` is 0, 1, 2 or 3."""
+    if kind == 0:
+        return np.full(noise.size, 10.0 ** round(draw * 300))
+    if kind == 1:
+        return 1.0 + 1e-14 * noise
+    if kind == 2:
+        return np.where(noise < 0, -1.7e308, 1.7e308)
+    return draw * 1e3 + noise
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 3), st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1)),
+        min_size=2,
+        max_size=6,
+    ),
+    t=st.integers(2, 40),
+)
+def test_standardize_refuses_a_window_exactly_when_the_source_names_a_flat_row(rows, t):
+    """A record one window long: `standardize` raises exactly when the
+    source's `constant_rows` is nonempty, and names its first row."""
+    source = RawDataSource(
+        values=[
+            _row(kind, draw, np.random.default_rng(seed).standard_normal(t))
+            for kind, draw, seed in rows
+        ]
+    )
+    window = cut_window(source, WindowSpec(N=source.n, T=t), end_index=t)
+    if source.constant_rows:
+        with pytest.raises(DegenerateRow) as err:
+            standardize(window)
+        assert err.value.row == source.constant_rows[0]
+    else:
+        assert np.all(np.isfinite(standardize(window).values))
 
 
 def test_load_csv_roundtrip(tmp_path):

@@ -399,13 +399,14 @@ def test_sweep_covers_expected_end_indices():
 
 def test_sweep_records_failures_and_continues():
     vals = generate_ar1(Ar1Spec(b=0.3, seed=35), N=20, T=160)
-    vals[3, 40:80] = 4.2  # constant stretch: only the window ending at 80 degenerates
-    src = RawDataSource(values=vals)
-    tl = sweep(src, WindowSpec(N=20, T=40, stride=20), small_grid(), cache=CACHE)
-    assert len(tl.failures) == 1
-    assert tl.failures[0][0] == 80
-    assert "DegenerateRow" in tl.failures[0][1]
-    assert tl.end_indices == (40, 60, 100, 120, 140, 160)
+    for value in (4.2, 123456.789):
+        vals[3, 40:80] = value  # constant stretch: only the window ending at 80 degenerates
+        src = RawDataSource(values=vals)
+        tl = sweep(src, WindowSpec(N=20, T=40, stride=20), small_grid(), cache=CACHE)
+        assert len(tl.failures) == 1, value
+        assert tl.failures[0][0] == 80
+        assert "DegenerateRow" in tl.failures[0][1]
+        assert tl.end_indices == (40, 60, 100, 120, 140, 160)
 
 
 def make_timeline(end_indices, p_values):
