@@ -23,7 +23,6 @@ import numpy as np
 from factorspec import (
     Ar1Spec,
     ModelDensityCache,
-    PlantedFactorSpec,
     SearchGrid,
     WindowSpec,
     average_runs,
@@ -48,7 +47,7 @@ def main():
         src = synthesize_case(
             schedule,
             Ar1Spec(b=0.5, seed=seed),
-            PlantedFactorSpec(k=1, strength=20.0),
+            20.0,
             N=N,
             t=t,
         )

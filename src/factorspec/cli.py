@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .data_model import SIGMA_FLOOR, RawDataSource, WindowSpec, load_csv
-from .datagen import CASES, Ar1Spec, PlantedFactorSpec, case_schedule, synthesize_case
+from .datagen import CASES, Ar1Spec, case_schedule, synthesize_case
 from .errors import (
     ConfigError,
     FactorSpecError,
@@ -181,10 +181,7 @@ def _source_for_run(config: RunConfig, seed: int) -> RawDataSource:
     if config.input_path is not None:
         return load_csv(config.input_path, skip_header=config.skip_header)
     schedule, t = case_schedule(config.case)
-    mixing = PlantedFactorSpec(k=max(1, len(schedule.events)), strength=5.0)
-    return synthesize_case(
-        schedule, Ar1Spec(b=config.noise_b, seed=seed), mixing, N=118, t=t
-    )
+    return synthesize_case(schedule, Ar1Spec(b=config.noise_b, seed=seed), 5.0, N=118, t=t)
 
 
 def _no_window_message(timeline, t: int, window_length: int) -> str:

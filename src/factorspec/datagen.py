@@ -115,9 +115,15 @@ def planted_factor_matrix(
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """AR(1) noise plus k planted rank-one signals (iid normal factors) with
-    spikes at roughly strength x the Marchenko-Pastur bulk edge."""
+    spikes at roughly strength x the Marchenko-Pastur bulk edge.
+
+    Every draw comes from one generator: `rng`, or else one seeded by
+    `planted.seed`. A seed the call would not read, `noise.seed` always and
+    `planted.seed` beside an `rng`, raises ValueError."""
     if planted.k > N:
         raise ValueError("cannot plant more factors than channels")
+    if noise.seed is not None or (rng is not None and planted.seed is not None):
+        raise ValueError("draws come from rng, or else planted.seed: pass no other seed")
     rng = rng if rng is not None else np.random.default_rng(planted.seed)
     x = generate_ar1(noise, N, T, rng=rng)
     loadings = unit_loadings(planted.k, N, rng)
@@ -134,16 +140,15 @@ BASELINE_RANGE = (20.0, 200.0)  # each channel's constant level is drawn from th
 def synthesize_case(
     schedule: EventSchedule,
     base: Ar1Spec,
-    mixing: PlantedFactorSpec,
+    strength: float,
     N: int,
     t: int,
 ) -> RawDataSource:
-    """Baseline constants + AR(1) noise + step events.
+    """Baseline constants + AR(1) noise + step events, drawn from `base.seed`.
 
-    Event i enters through the i-th random unit-norm loading vector,
-    spreading across channels; the step height is sized from
-    `mixing.strength` so the resulting covariance spike clears the noise
-    bulk."""
+    Event i enters through the i-th of one random unit-norm loading vector
+    per event, spreading across channels; the step height is sized from
+    `strength` so the resulting covariance spike clears the noise bulk."""
     for e in schedule.events:
         if e.onset > t or (e.offset is not None and e.offset > t):
             raise ScheduleOutOfRange(f"event {e} outside [1, {t}]")
@@ -151,9 +156,9 @@ def synthesize_case(
     rng = np.random.default_rng(base.seed)
     baselines = rng.uniform(*BASELINE_RANGE, N)
     values = baselines[:, None] + generate_ar1(base, N, t, rng=rng)
-    loadings = unit_loadings(max(mixing.k, len(schedule.events) or 1), N, rng)
+    loadings = unit_loadings(len(schedule.events), N, rng)
     bulk_edge = (1.0 + np.sqrt(N / min(t, 4 * N))) ** 2
-    step_height = np.sqrt(mixing.strength * bulk_edge) * 2.0
+    step_height = np.sqrt(strength * bulk_edge) * 2.0
 
     for i, e in enumerate(schedule.events):
         off = t if e.offset is None else e.offset

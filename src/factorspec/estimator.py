@@ -200,7 +200,7 @@ class ModelDensityCache:
 def _exact_curve(b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
     params = NoiseModelParams(b=b, c=c)
     nodes = default_lambda_grid(params)
-    rho = model_density_curve(params, nodes, support=(nodes[0], nodes[-1]))
+    rho = model_density_curve(params, nodes)
     mass = float(np.trapezoid(rho, nodes))
     if abs(mass - 1.0) > 1e-6:
         raise ModelDensityError(f"model density at b={b}, c={c} has mass {mass}, not 1")
@@ -228,7 +228,7 @@ def shared_bin_edges(emp_max: float, c: float, bins: int) -> np.ndarray:
 
 
 def estimate_window(
-    window: StandardizedWindow, grid: SearchGrid, cache: ModelDensityCache | None = None
+    window: StandardizedWindow, grid: SearchGrid, cache: ModelDensityCache
 ) -> EstimationResult:
     """Joint argmin of the JS divergence between the p-level empirical
     density and the b-model density.
@@ -236,11 +236,9 @@ def estimate_window(
     The whole (p, b) surface is scored in one call. Tie rule: among the
     pairs within 1e-15 of the minimum, the smallest p wins, then the
     smallest b. A b whose model density fails is skipped. A window that
-    `grid.check_shape` refuses raises its error before it is scored.
-
-    Pass one `cache` to repeated calls: without it, each call builds every
-    model curve of the grid again."""
-    cache = cache if cache is not None else ModelDensityCache()
+    `grid.check_shape` refuses raises its error before it is scored. The
+    model masses come from `cache`: share one across windows, so each
+    model curve is built once."""
     n, t = window.values.shape
     grid.check_shape(n, t)
     c = n / t
@@ -273,11 +271,10 @@ def sweep(
     source: RawDataSource,
     spec: WindowSpec,
     grid: SearchGrid,
-    cache: ModelDensityCache | None = None,
+    cache: ModelDensityCache,
 ) -> Timeline:
-    """One EstimationResult per end_index from T to t by stride; failed
-    windows are recorded, not fatal."""
-    cache = cache if cache is not None else ModelDensityCache()
+    """One EstimationResult per end_index from T to t by stride, every
+    window scored against `cache`; failed windows are recorded, not fatal."""
     results = []
     failures = []
     for end_index in range(spec.T, source.t + 1, spec.stride):

@@ -198,22 +198,16 @@ def default_lambda_grid(
     return nodes
 
 
-def model_density_curve(
-    params: NoiseModelParams, lambda_grid, support: tuple[float, float] | None = None
-) -> np.ndarray:
-    """The exact model density at each lambda of a grid. Inside the support
-    the quartic has one complex-conjugate pair of roots M, and the density
-    is the one positive value of -Im((M + 1) / lambda) / pi among the four
-    roots; outside the support it is 0.
-
-    `support` is the model's [lo, hi] when the caller has it already, as the
-    first and last of `default_lambda_grid`'s nodes; it is solved otherwise."""
-    x = np.asarray(lambda_grid, dtype=float)
-    lo, hi = _support(params) if support is None else support
-    inside = (x > lo) & (x < hi)
-    roots, _ = _solve_many(x[inside], params.b, params.c)
-    rho = np.zeros_like(x)
-    rho[inside] = np.clip(-roots.imag.min(axis=1), 0.0, None) / (math.pi * x[inside])
+def model_density_curve(params: NoiseModelParams, nodes: np.ndarray) -> np.ndarray:
+    """The exact model density at `default_lambda_grid`'s nodes, whose first
+    and last are the support's edges, where it is 0. At each node between
+    them the quartic has one complex-conjugate pair of roots M, and the
+    density is the one positive value of -Im((M + 1) / lambda) / pi among
+    the four roots."""
+    inner = nodes[1:-1]
+    roots, _ = _solve_many(inner, params.b, params.c)
+    rho = np.zeros(inner.size + 2)
+    rho[1:-1] = np.clip(-roots.imag.min(axis=1), 0.0, None) / (math.pi * inner)
     return rho
 
 

@@ -170,7 +170,7 @@ def case1_experiments():
             src = synthesize_case(
                 schedule,
                 Ar1Spec(b=0.5, seed=4000 + 10 * rep + j),
-                PlantedFactorSpec(k=1, strength=EVENT_STRENGTH),
+                EVENT_STRENGTH,
                 N=N,
                 t=t,
             )

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorspec import (
+    ModelDensityCache,
     RawDataSource,
     RawWindow,
     SearchGrid,
@@ -437,7 +438,7 @@ def test_only_a_copied_record_is_mapped(monkeypatch):
     RawWindow(values=writable[:, :30], end_index=30)
     assert len(maps) == 3
     grid = SearchGrid(p_values=(0, 1), b_values=(0.0, 0.5), epsilon=1e-3, bins=10)
-    timeline = sweep(source, WindowSpec(N=6, T=30, stride=10), grid)
+    timeline = sweep(source, WindowSpec(N=6, T=30, stride=10), grid, ModelDensityCache())
     assert len(timeline.results) == 4 and len(maps) == 3
 
 

@@ -76,17 +76,13 @@ def test_event_schedule_validation():
 def test_synthesize_case_rejects_out_of_range_events():
     late = EventSchedule((Event(onset=500, offset=None),))
     with pytest.raises(ScheduleOutOfRange):
-        synthesize_case(late, Ar1Spec(b=0.5, seed=0), PlantedFactorSpec(k=1), N=10, t=100)
+        synthesize_case(late, Ar1Spec(b=0.5, seed=0), 5.0, N=10, t=100)
 
 
 def test_synthesize_case_factor_mode_spreads_event():
     sched = EventSchedule((Event(onset=50, offset=None),))
-    src = synthesize_case(
-        sched, Ar1Spec(b=0.5, seed=12), PlantedFactorSpec(k=1, strength=10.0), N=30, t=100
-    )
-    base = synthesize_case(
-        EventSchedule(), Ar1Spec(b=0.5, seed=12), PlantedFactorSpec(k=1, strength=10.0), N=30, t=100
-    )
+    src = synthesize_case(sched, Ar1Spec(b=0.5, seed=12), 10.0, N=30, t=100)
+    base = synthesize_case(EventSchedule(), Ar1Spec(b=0.5, seed=12), 10.0, N=30, t=100)
     diff = src.values - base.values
     touched = np.count_nonzero(np.abs(diff).max(axis=1) > 1e-9)
     assert touched > 10  # loading vector hits many channels
@@ -106,7 +102,7 @@ def test_synthesize_case_source_adopts_the_record(monkeypatch):
     src = synthesize_case(
         EventSchedule((Event(onset=50, offset=None),)),
         Ar1Spec(b=0.5, seed=12),
-        PlantedFactorSpec(k=1),
+        5.0,
         N=30,
         t=100,
     )
@@ -123,6 +119,17 @@ def test_planted_factors_separate_from_bulk():
     bulk_edge = (1.0 + np.sqrt(n / t)) ** 2
     assert eigs[1] > 2.0 * bulk_edge  # both spikes clear of the bulk
     assert eigs[2] < 2.0 * bulk_edge
+
+
+def test_planted_factor_matrix_refuses_a_seed_it_would_not_read():
+    """Draws come from one generator, so any other seed would be dropped."""
+    for planted, noise, rng in (
+        (PlantedFactorSpec(k=1, seed=3), Ar1Spec(b=0.4, seed=1), None),
+        (PlantedFactorSpec(k=1), Ar1Spec(b=0.4, seed=1), np.random.default_rng(0)),
+        (PlantedFactorSpec(k=1, seed=3), Ar1Spec(b=0.4), np.random.default_rng(0)),
+    ):
+        with pytest.raises(ValueError, match="pass no other seed"):
+            planted_factor_matrix(planted, noise, 20, 50, rng=rng)
 
 
 def test_brute_force_spectrum_is_normalized_density():

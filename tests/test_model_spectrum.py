@@ -273,6 +273,12 @@ def test_model_density_curve_nonnegative():
     grid = np.linspace(0.0, 3.0 * nodes[-1], 400)
     rho = smoothed_density(nodes, exact, grid, 1e-3)
     assert np.all(rho >= 0.0)
+    # on its nodes the density is 0 at both edges of the support and
+    # positive between them; every default b builds at these c
+    for c, b in itertools.product((0.05, 0.2, C, 2 / 3, 0.9), B_VALUES):
+        _, exact = exact_curve(b, c)
+        assert exact[0] == exact[-1] == 0.0, (b, c)
+        assert np.all(exact[1:-1] > 0.0), (b, c)
 
 
 def test_smoothing_needs_a_positive_width():

@@ -50,6 +50,16 @@ def test_readme_cli_flags_exist():
     assert unknown == []
 
 
+def test_readme_quick_start_runs():
+    """The python block of the README's "Library quick start" runs as
+    written and finds the two planted factors."""
+    section = (ROOT / "README.md").read_text().split("\n## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["result"].p_hat == 2
+
+
 class _References(ast.NodeVisitor):
     """Private function and method definitions in a module, and the names
     and attributes referenced outside the body of the function they name."""
