@@ -78,10 +78,10 @@ class RunConfig:
         source or an out-of-range option, before any record is read. Each
         rule is checked by its own owner: the grid by `SearchGrid`, the change
         rule by `detect_changes` on an empty average, the window geometry by
-        `WindowSpec` at the smallest row count, N = 2, and the case name by
-        `case_schedule`. The rules that need the record's N are
-        `SearchGrid.check_shape`'s, but as N < T, p_max < window_length is
-        checked here, before a p grid is built."""
+        `WindowSpec` at the smallest row count, N = 2, the seed by numpy's
+        `SeedSequence`, and the case name by `case_schedule`. The rules that
+        need the record's N are `SearchGrid.check_shape`'s, but as N < T,
+        p_max < window_length is checked here, before a p grid is built."""
         if (self.input_path is None) == (self.case is None):
             raise ConfigError("exactly one of --input or --case is required")
         if self.input_path is not None and not Path(self.input_path).exists():
@@ -105,6 +105,7 @@ class RunConfig:
         try:
             WindowSpec(N=2, T=self.window_length, stride=self.stride)
             Ar1Spec(b=self.noise_b)
+            np.random.SeedSequence(self.seed)
             detect_changes(RunAverage((), (), (), 0), threshold=self.threshold, hold=self.hold)
             if self.case is not None:
                 case_schedule(self.case)
@@ -162,7 +163,7 @@ def _write_curve(
         smoothed_density(nodes, rho, grid, epsilon),
         f"density at b={b}, c={c}, epsilon={epsilon}",
     )
-    _write_rows(path, ["lambda", "rho"], zip(grid, smoothed))
+    _write_rows(path, ["lambda", "rho"], zip(grid.tolist(), smoothed.tolist()))
 
 
 def _dump_model_densities(out: Path, grid: SearchGrid, c: float, cache: ModelDensityCache) -> None:

@@ -21,6 +21,7 @@ from .errors import (
 from .model_spectrum import (
     DEFAULT_B_MAX,
     DEFAULT_EPSILON,
+    EPSILON_MIN,
     NoiseModelParams,
     bin_curve,
     check_density,
@@ -65,8 +66,8 @@ class SearchGrid:
             raise ValueError("p_values must be nonempty and nonnegative")
         if not self.b_values or any(not 0 <= b <= DEFAULT_B_MAX for b in self.b_values):
             raise ValueError(f"b_values must lie within [0, {DEFAULT_B_MAX}]")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        if not EPSILON_MIN <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, at least {EPSILON_MIN}")
 
     def check_shape(self, n: int, t: int) -> None:
         """Raise unless every p of the grid can be scored on an n x t window.

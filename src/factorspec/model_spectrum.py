@@ -3,14 +3,15 @@
 The model's Green's function G(z) = (M(z) + 1) / z solves a quartic in the
 moment generating function M. On the real axis the quartic's coefficients
 are real, and inside the support exactly one complex-conjugate pair of
-roots appears, so the density rho(lambda) = -Im G(lambda) / pi is the one
-positive value among the four roots: a closed form at each lambda, with no
-branch to track. The support [lo, hi] is bounded by the positive real roots
-of the quartic's discriminant in z, which are Marchenko-Pastur's
-(1 -+ sqrt c)^2 at b = 0. The density is built on cosine-spaced nodes over
-the support and taken as piecewise linear between them. The width epsilon
-convolves it with a Cauchy kernel; for a piecewise-linear density the smoothed
-CDF and its derivative have closed forms (`bin_curve`, `smoothed_density`).
+roots appears, so the density rho(lambda) = -Im G(lambda) / pi is read from
+the root of that pair with negative imaginary part: a closed form at each
+lambda, with no branch to track (`_density_root`). The support [lo, hi] is
+bounded by the positive real roots of the quartic's discriminant in z, which
+are Marchenko-Pastur's (1 -+ sqrt c)^2 at b = 0. The density is built on
+cosine-spaced nodes over the support and taken as piecewise linear between
+them. The width epsilon convolves it with a Cauchy kernel; for a
+piecewise-linear density the smoothed CDF and its derivative have closed
+forms (`bin_curve`, `smoothed_density`).
 """
 from __future__ import annotations
 
@@ -23,6 +24,11 @@ from numpy.polynomial import polynomial as poly, polyutils
 from .errors import ModelDensityError
 
 DEFAULT_EPSILON = 1e-3
+# The narrowest smoothing. The Cauchy kernels square a = |x - lambda| / epsilon,
+# which overflows past 1.3e154, so at this floor any |x - lambda| below 1.3e4
+# stays finite: every point of a written curve (the support ends below 46),
+# and every bin edge of a window whose top eigenvalue is below 1.2e4.
+EPSILON_MIN = 1e-150
 DEFAULT_B_MAX = 0.95
 # Cosine-spaced nodes: the trapezoid mass is within 5e-7 of 1 at every b.
 DEFAULT_NODES = 2049
@@ -47,7 +53,7 @@ class NoiseModelParams:
 
 
 def _newton_refine(m: np.ndarray, coeffs: np.ndarray, steps: int = 2) -> np.ndarray:
-    """Polish roots m (n, 4) with Newton steps on the quartic rows coeffs
+    """Polish roots m (n, k) with Newton steps on the quartic rows coeffs
     (n, 5), highest degree first. A zero derivative makes the root
     non-finite: call it under np.errstate."""
     c4, c3, c2, c1, c0 = coeffs.T[:, :, None]
@@ -60,7 +66,7 @@ def _newton_refine(m: np.ndarray, coeffs: np.ndarray, steps: int = 2) -> np.ndar
 
 
 def _is_root(m: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """|P(m)| <= _ROOT_TOL * sum_k |c_k| |m|^k for roots m (n, 4) of the
+    """|P(m)| <= _ROOT_TOL * sum_k |c_k| |m|^k for roots m (n, k) of the
     quartic rows coeffs (n, 5): m is an exact root of a quartic whose
     coefficients differ from P's by a relative _ROOT_TOL at most."""
     c4, c3, c2, c1, c0 = coeffs.T[:, :, None]
@@ -69,45 +75,6 @@ def _is_root(m: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     value = (((c4 * m + c3) * m + c2) * m + c1) * m + c0
     scale = (((a4 * r + a3) * r + a2) * r + a1) * r + a0
     return np.abs(value) <= _ROOT_TOL * scale
-
-
-_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3.0 * np.arange(3))
-
-
-def _ferrari(coeffs: np.ndarray) -> np.ndarray:
-    """The four roots of each quartic row c4 m^4 + c3 m^3 + c2 m^2 + c1 m + c0
-    of an (n, 5) array by Ferrari's method, as an (n, 4) array."""
-    a3, a2, a1, a0 = (coeffs[:, 1:] / coeffs[:, :1]).T
-    # depressed quartic y^4 + p y^2 + q y + r in y = m + shift: its
-    # coefficients are the Taylor coefficients of the monic quartic at -shift
-    shift = 0.25 * a3
-    sq = shift * shift
-    p = a2 - 6.0 * sq
-    q = a1 - 2.0 * shift * (a2 - 4.0 * sq)
-    r = a0 - shift * (a1 - shift * (a2 - 3.0 * sq))
-    # A root s of the resolvent cubic s^3 + p s^2 + e s - q^2 / 8 splits the
-    # quartic into two quadratics. Cardano on t^3 + f t + g with s = t - p / 3,
-    # taking the larger of -g / 2 +- h so that nothing cancels.
-    pp = p * p
-    e = 0.25 * pp - r
-    f = e - pp / 3.0
-    g = p * (2.0 / 27.0 * pp - e / 3.0) - 0.125 * q * q
-    h = np.sqrt(0.25 * g * g + f * f * f / 27.0)
-    h = np.where((g.conjugate() * h).real > 0, -h, h)
-    u = (h - 0.5 * g) ** (1.0 / 3.0)
-    v = f / (-3.0 * u)  # u = 0 only where f = g = 0: a non-finite row
-    # the three resolvent roots; the one of largest modulus splits best
-    s = u[:, None] * _CUBE_ROOTS_OF_UNITY + v[:, None] * _CUBE_ROOTS_OF_UNITY.conj()
-    s -= (p / 3.0)[:, None]
-    s = s[np.arange(s.shape[0]), np.argmax(np.abs(s), axis=1)]
-    k = np.sqrt(2.0 * s)
-    qk = q / k  # k = 0 only where p = q = r = 0: a non-finite row
-    ps = p + s
-    # the quadratics y^2 -+ k y + p / 2 + s +- qk / 2
-    d1 = np.sqrt(-2.0 * (ps + qk))
-    d2 = np.sqrt(-2.0 * (ps - qk))
-    y = np.concatenate([k + d1, k - d1, d2 - k, -k - d2]).reshape(4, -1).T
-    return 0.5 * y - shift[:, None]
 
 
 def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -135,24 +102,51 @@ def _quartic(b: float, c: float) -> tuple[np.ndarray, ...]:
     )
 
 
-def _solve_many(zs: np.ndarray, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """All four roots of the moment polynomial at each z. Returns
-    (roots[n,4], coeffs[n,5]).
+def _density_root(zs: np.ndarray, b: float, c: float) -> np.ndarray:
+    """At each real z inside the support, the root M of the moment
+    polynomial with negative imaginary part, whose -Im((M + 1) / z) / pi is
+    the density there.
 
-    Ferrari's closed form, polished by three Newton steps. A row whose roots
-    fail `_is_root`, non-finite ones included, is solved from its companion
-    matrix instead: on the default nodes, 3 rows in 160,000, each next to
-    the upper edge at b = 0.95, where two roots nearly coincide. Every row
-    is computed the same way whatever n is, so a z gets the same bits in any
-    batch."""
-    zs = np.asarray(zs, dtype=complex)
+    Ferrari in real arithmetic: the resolvent cubic has one real root s > 0,
+    which splits the quartic into two real quadratics, and M is a root of
+    the one whose discriminant is negative. M is polished by three Newton
+    steps. A row whose M fails `_is_root` is solved from its companion
+    matrix instead; that includes a non-finite M, which is what an edge
+    row gives when rounding makes s or a radicand negative. On the default
+    nodes 5 rows in 1.57 million fall back (b from 0 to 0.95 by 0.01, c from
+    0.01 to 0.99), each at one of the last two nodes below the upper edge at
+    b >= 0.94 and c >= 0.9. Every row is computed the same way whatever n
+    is, so a z gets the same bits in any batch."""
     coeffs = np.stack([poly.polyval(zs, p) for p in _quartic(b, c)], axis=1)
+    a3, a2, a1, a0 = (coeffs[:, 1:] / coeffs[:, :1]).T
+    # depressed quartic y^4 + p y^2 + q y + r in y = M + shift: its
+    # coefficients are the Taylor coefficients of the monic quartic at -shift
+    shift = 0.25 * a3
+    sq = shift * shift
+    p = a2 - 6.0 * sq
+    q = a1 - 2.0 * shift * (a2 - 4.0 * sq)
+    r = a0 - shift * (a1 - shift * (a2 - 3.0 * sq))
+    # the resolvent cubic s^3 + p s^2 + e s - q^2 / 8, by Cardano on
+    # t^3 + f t + g with s = t - p / 3, the sign taken so that nothing cancels
+    pp = p * p
+    e = 0.25 * pp - r
+    f = e - pp / 3.0
+    g = p * (2.0 / 27.0 * pp - e / 3.0) - 0.125 * q * q
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        roots = _newton_refine(_ferrari(coeffs), coeffs, steps=3)
-        failed = ~np.all(_is_root(roots, coeffs), axis=1)
+        h = np.sqrt(0.25 * g * g + f * f * f / 27.0)
+        u = np.cbrt(-0.5 * g - np.copysign(h, g))
+        s = u - f / (3.0 * u) - p / 3.0
+        k = np.sqrt(2.0 * s)
+        qk = q / k
+        # the quadratics y^2 -+ k y + p / 2 + s +- qk / 2: the one with the
+        # larger constant term has the complex pair
+        m = np.copysign(0.5 * k, qk) - shift - 0.5j * np.sqrt(2.0 * (p + s + np.abs(qk)))
+        m = _newton_refine(m[:, None], coeffs, steps=3)
+        failed = ~_is_root(m, coeffs)[:, 0]
         if failed.any():
-            roots[failed] = _companion_roots(coeffs[failed])
-    return roots, coeffs
+            roots = _companion_roots(coeffs[failed])
+            m[failed, 0] = roots[np.arange(roots.shape[0]), np.argmin(roots.imag, axis=1)]
+    return m[:, 0]
 
 
 def _support(params: NoiseModelParams) -> tuple[float, float]:
@@ -201,13 +195,13 @@ def default_lambda_grid(
 def model_density_curve(params: NoiseModelParams, nodes: np.ndarray) -> np.ndarray:
     """The exact model density at `default_lambda_grid`'s nodes, whose first
     and last are the support's edges, where it is 0. At each node between
-    them the quartic has one complex-conjugate pair of roots M, and the
-    density is the one positive value of -Im((M + 1) / lambda) / pi among
-    the four roots."""
+    them the quartic has one complex-conjugate pair of roots, and the
+    density is -Im((M + 1) / lambda) / pi = -Im M / (pi lambda) for M the
+    pair's root with negative imaginary part."""
     inner = nodes[1:-1]
-    roots, _ = _solve_many(inner, params.b, params.c)
     rho = np.zeros(inner.size + 2)
-    rho[1:-1] = np.clip(-roots.imag.min(axis=1), 0.0, None) / (math.pi * inner)
+    m = _density_root(inner, params.b, params.c)
+    rho[1:-1] = np.clip(-m.imag, 0.0, None) / (math.pi * inner)
     return rho
 
 
@@ -242,11 +236,11 @@ def smoothed_density(
     nodes: np.ndarray, rho: np.ndarray, lambda_grid, epsilon: float
 ) -> np.ndarray:
     """A density rho, piecewise linear on ascending nodes and 0 at both ends,
-    convolved with a Cauchy kernel of finite width epsilon > 0, at each
-    lambda of a grid: rho(x) + eps sum_j s_j I((x - lambda_j) / eps) over
-    the `_tail` knots, the derivative of the CDF that `bin_curve` bins."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive and finite")
+    convolved with a Cauchy kernel of finite width epsilon >= EPSILON_MIN,
+    at each lambda of a grid: rho(x) + eps sum_j s_j I((x - lambda_j) / eps)
+    over the `_tail` knots, the derivative of the CDF that `bin_curve` bins."""
+    if not EPSILON_MIN <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, at least {EPSILON_MIN}")
     x = np.asarray(lambda_grid, dtype=float)
     knots, jumps = _tail(nodes, rho)
     return np.interp(x, nodes, rho) + epsilon * (

@@ -351,6 +351,7 @@ def test_detect_requires_exactly_one_source(small_csv):
         ["--bins", "1"],
         ["--epsilon", "0"],
         ["--epsilon", "inf"],
+        ["--epsilon", "1e-200"],
         ["--p-max", "-1"],
         ["--b-step", "0"],
         ["--b-step", "-0.1"],
@@ -358,6 +359,7 @@ def test_detect_requires_exactly_one_source(small_csv):
         ["--threshold", "0"],
         ["--noise-b", "1.0"],
         ["--window-length", "1"],
+        ["--seed", "-1"],
     ],
     ids=" ".join,
 )
@@ -539,6 +541,7 @@ def test_spectrum_rejects_bad_params(tmp_path, capsys):
         ["--epsilon", "0"],
         ["--epsilon", "-1"],
         ["--epsilon", "inf"],
+        ["--epsilon", "1e-200"],
         ["--points", "0"],
     ):
         args = ["spectrum", "--b", "0.3", "--c", "0.472", "--output", str(out), *bad]

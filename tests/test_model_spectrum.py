@@ -24,7 +24,7 @@ from factorspec import (
     smoothed_density,
 )
 from factorspec import cli, estimator, model_spectrum
-from factorspec.model_spectrum import DEFAULT_NODES, _solve_many, bin_curve
+from factorspec.model_spectrum import DEFAULT_NODES, _density_root, bin_curve
 from factorspec.errors import ModelDensityError
 
 C = 118 / 250
@@ -55,50 +55,73 @@ def test_params_validation():
 
 
 def test_roots_satisfy_the_polynomial():
-    # points near the real axis, then far-field points
-    zs = np.concatenate(
-        [np.array([0.5, 1.5, 3.0]) + 1e-3j, np.array([50.0, 1e3, 1e5, 1e6]) + 0.05j]
-    )
-    roots, coeffs = _solve_many(zs, 0.4, C)
-    assert roots.shape == (7, 4)
-    for z, r, c in zip(zs, roots, coeffs):
-        scale = abs(c[0]) * np.maximum(1.0, np.abs(r)) ** 4
-        assert np.all(np.abs(np.polyval(c, r)) / scale < 1e-8)
-        assert np.all(np.isfinite(green(r, z)))
-
-
-PERMUTATIONS = np.array(list(itertools.permutations(range(4))))
+    # real points inside the support [0.077, 3.49] at b = 0.4
+    zs = np.array([0.1, 0.5, 1.5, 3.0, 3.4])
+    roots = _density_root(zs, 0.4, C)
+    assert roots.shape == (5,)
+    for z, r, c in zip(zs, roots, oracles.moment_coefficients(zs, 0.4, C)):
+        scale = abs(c[0]) * max(1.0, abs(r)) ** 4
+        assert abs(np.polyval(c, r)) / scale < 1e-8
+        assert r.imag < 0 and np.isfinite(green(r, z))
 
 
 def solved_points(monkeypatch, b, c):
     """Every z solved to build the exact density on its nodes: the only
     solve the program makes, since a written curve smooths that density."""
     batches = []
-    real_solve = model_spectrum._solve_many
+    real_solve = model_spectrum._density_root
 
     def recording(zs, b, c):
         batches.append(np.array(zs))
         return real_solve(zs, b, c)
 
     with monkeypatch.context() as m:
-        m.setattr(model_spectrum, "_solve_many", recording)
+        m.setattr(model_spectrum, "_density_root", recording)
         exact_curve(b, c)
     return np.concatenate(batches)
 
 
-@pytest.mark.parametrize("c", [0.1, C, 0.9])
+def companion_density_root(zs, b, c):
+    """The reference's root with the most negative imaginary part at each z."""
+    want = oracles.companion_roots(oracles.moment_coefficients(zs, b, c))
+    return want[np.arange(want.shape[0]), np.argmin(want.imag, axis=1)]
+
+
+@pytest.mark.parametrize("c", [0.1, C, 0.9, 0.95, 0.99])
 def test_solver_matches_companion_reference(c, monkeypatch):
-    """Ferrari plus fallback gives the companion-matrix roots, root for
-    root, to 1e-10 relative, at every z that a density build solves."""
+    """The real-arithmetic Ferrari root plus fallback is the companion
+    matrix's negative-imaginary root to 1e-10 relative, at every z that a
+    density build solves."""
     for b in (0.0, 0.5, 0.9, 0.95):
         zs = solved_points(monkeypatch, b, c)
         assert zs.size >= DEFAULT_NODES - 2
-        roots, coeffs = _solve_many(zs, b, c)
-        want = oracles.companion_roots(coeffs)
-        # the best pairing of the four roots, row by row
-        rel = np.abs(roots[:, PERMUTATIONS] - want[:, None, :]) / np.abs(want[:, None, :])
-        worst = rel.max(axis=2).min(axis=1)
-        assert worst.max() < 1e-10, (b, c, zs[np.argmax(worst)])
+        want = companion_density_root(zs, b, c)
+        rel = np.abs(_density_root(zs, b, c) - want) / np.abs(want)
+        assert rel.max() < 1e-10, (b, c, zs[np.argmax(rel)])
+
+
+def test_a_root_that_fails_the_check_is_solved_from_its_companion(monkeypatch):
+    """Rows whose Ferrari root fails `_is_root` (here every other one, by
+    force) take the companion-matrix root, and the density they give is the
+    reference's."""
+    real_check, real_companion = model_spectrum._is_root, model_spectrum._companion_roots
+    calls = []
+
+    def odd_rows_only(m, coeffs):
+        return real_check(m, coeffs) & (np.arange(m.shape[0]) % 2 == 1)[:, None]
+
+    def counted(coeffs):
+        calls.append(len(coeffs))
+        return real_companion(coeffs)
+
+    monkeypatch.setattr(model_spectrum, "_is_root", odd_rows_only)
+    monkeypatch.setattr(model_spectrum, "_companion_roots", counted)
+    for b in (0.0, 0.5, 0.95):
+        nodes, rho = exact_curve(b, C)
+        lam = nodes[1:-1]
+        want = np.clip(-companion_density_root(lam, b, C).imag, 0.0, None) / (math.pi * lam)
+        assert calls.pop() == (lam.size + 1) // 2
+        assert np.max(np.abs(rho[1:-1] - want)) <= 1e-10 * want.max(), b
 
 
 def test_support_edges_equal_marchenko_pastur_at_b_zero():
@@ -136,8 +159,7 @@ def test_physical_root_reduces_to_mp_green_at_b_zero():
     transform, and the exact density is Marchenko-Pastur's."""
     nodes, rho = exact_curve(0.0, C)
     lam = nodes[1:-1]
-    roots, _ = _solve_many(lam, 0.0, C)
-    m = roots[np.arange(lam.size), np.argmin(roots.imag, axis=1)]
+    m = _density_root(lam, 0.0, C)
     want = np.array([oracles.mp_green(complex(x, 1e-13), C) for x in lam])
     assert np.max(np.abs(green(m, lam) - want)) < 1e-6
     assert np.max(np.abs(rho - oracles.mp_density(nodes, C))) < 1e-6
@@ -146,13 +168,12 @@ def test_physical_root_reduces_to_mp_green_at_b_zero():
 def test_physical_root_rejects_all_negative_densities(monkeypatch):
     """Where no root yields a positive density the model has none, and a
     density that lost its mass that way is refused, not renormalized."""
-    real_solve = model_spectrum._solve_many
+    real_solve = model_spectrum._density_root
 
     def conjugated(zs, b, c):
-        roots, coeffs = real_solve(zs, b, c)
-        return roots.real + 1j * np.abs(roots.imag), coeffs
+        return real_solve(zs, b, c).conjugate()
 
-    monkeypatch.setattr(model_spectrum, "_solve_many", conjugated)
+    monkeypatch.setattr(model_spectrum, "_density_root", conjugated)
     nodes, rho = exact_curve(0.3, C)
     assert np.all(rho == 0.0)
     with pytest.raises(ModelDensityError, match="has mass 0.0, not 1"):
