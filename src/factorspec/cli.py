@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     FactorSpecError,
     InvalidCoefficient,
-    ModelDensityError,
     NoWindowScored,
 )
 from .estimator import (
@@ -65,7 +64,6 @@ class RunConfig:
     noise_b: float = 0.5
     threshold: float = 0.5
     hold: int = 3
-    dump_densities: bool = False
     dump_surface: bool = False
     workers: InitVar[int] = 1
 
@@ -103,9 +101,12 @@ class RunConfig:
                 "a window's rank is its row count N, and N < T"
             )
         try:
+            np.random.SeedSequence(self.seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seed = {self.seed!r} must be a non-negative integer") from exc
+        try:
             WindowSpec(N=2, T=self.window_length, stride=self.stride)
             Ar1Spec(b=self.noise_b)
-            np.random.SeedSequence(self.seed)
             detect_changes(RunAverage((), (), (), 0), threshold=self.threshold, hold=self.hold)
             if self.case is not None:
                 case_schedule(self.case)
@@ -148,34 +149,6 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
     _atomic_write(path, write)
-
-
-def _write_curve(
-    path: Path, cache: ModelDensityCache, b: float, c: float, epsilon: float, points: int
-) -> None:
-    """The model density at (b, c) that `cache` builds and checks, smoothed
-    at width epsilon, at `points` even steps from 0 to 5% past the support's
-    upper edge. A density that fails, or whose smoothed values are not
-    finite and nonnegative, raises ModelDensityError and writes nothing."""
-    nodes, rho = cache.curve(b, c)
-    grid = np.linspace(0.0, 1.05 * nodes[-1], points)
-    smoothed = check_density(
-        smoothed_density(nodes, rho, grid, epsilon),
-        f"density at b={b}, c={c}, epsilon={epsilon}",
-    )
-    _write_rows(path, ["lambda", "rho"], zip(grid.tolist(), smoothed.tolist()))
-
-
-def _dump_model_densities(out: Path, grid: SearchGrid, c: float, cache: ModelDensityCache) -> None:
-    """One curve per b value from the run's cache, as `spectrum` writes it.
-    A b whose density fails gets no file, as it gets no row in a block."""
-    for b in grid.b_values:
-        try:
-            _write_curve(
-                out / f"model_density_b{b:.3f}.csv", cache, b, c, grid.epsilon, CURVE_POINTS
-            )
-        except ModelDensityError:
-            continue
 
 
 def _source_for_run(config: RunConfig, seed: int) -> RawDataSource:
@@ -241,9 +214,6 @@ def run_detect(config: RunConfig) -> dict:
                     for b, d in zip(r.b_values, row)
                 ),
             )
-    if config.dump_densities:
-        # every run's source has the same row count N
-        _dump_model_densities(out, grid, source.n / config.window_length, cache)
     _write_rows(
         out / "run_average.csv",
         ["end_index", "p_ave", "b_ave"],
@@ -276,9 +246,10 @@ def run_spectrum(
     b: float, c: float, output: str, epsilon: float = DEFAULT_EPSILON, points: int = CURVE_POINTS
 ) -> None:
     """Write the (lambda, rho) model density curve as CSV: the density that
-    `ModelDensityCache.curve` builds and checks, smoothed at width epsilon.
-    A density that fails its check, or a smoothed one that is not finite
-    and nonnegative, raises ModelDensityError."""
+    `ModelDensityCache.curve` builds and checks, smoothed at width epsilon,
+    at `points` even steps from 0 to 5% past the support's upper edge. A
+    density that fails its check, or a smoothed one that is not finite and
+    nonnegative, raises ModelDensityError and writes nothing."""
     if points < 2:
         raise ConfigError("points must be >= 2")
     if points > CURVE_POINTS_MAX:
@@ -286,9 +257,15 @@ def run_spectrum(
     if c >= 1:  # an atom at 0, as `SearchGrid.check_shape` says of a window
         raise ConfigError(f"aspect ratio c = {c} must be below 1")
     try:  # an out-of-range b, c or epsilon
-        _write_curve(Path(output), ModelDensityCache(), b, c, epsilon, points)
+        nodes, rho = ModelDensityCache().curve(b, c)
+        grid = np.linspace(0.0, 1.05 * nodes[-1], points)
+        smoothed = check_density(
+            smoothed_density(nodes, rho, grid, epsilon),
+            f"density at b={b}, c={c}, epsilon={epsilon}",
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _write_rows(Path(output), ["lambda", "rho"], zip(grid.tolist(), smoothed.tolist()))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -318,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     det.add_argument("--noise-b", type=float)
     det.add_argument("--threshold", type=float)
     det.add_argument("--hold", type=int)
-    det.add_argument("--dump-densities", action="store_true")
     det.add_argument("--dump-surface", action="store_true")
 
     spec = sub.add_parser(

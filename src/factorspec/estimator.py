@@ -141,8 +141,8 @@ class ModelDensityCache:
 
     The exact density depends only on (b, c), so each is built once on its
     cosine nodes over the support (`default_lambda_grid`,
-    `model_density_curve`) and kept: windows bin it, and `spectrum` and
-    `--dump-densities` write it smoothed (`smoothed_density`). A density
+    `model_density_curve`) and kept: windows bin it, and the `spectrum`
+    command writes it smoothed (`smoothed_density`). A density
     whose trapezoid mass on its nodes is not within 1e-6 of 1 raises
     `ModelDensityError`; the curve keeps the error and raises it again, so
     a failing b is built once. Binning applies epsilon as Cauchy smoothing

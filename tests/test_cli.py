@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from factorspec import Ar1Spec, SearchGrid, generate_ar1
-from factorspec import cli, datagen, model_spectrum
+from factorspec import cli, datagen
 from factorspec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, RunConfig, main
 from factorspec.errors import ConfigError, FactorSpecError
 
@@ -197,74 +197,22 @@ def test_detect_dump_surface(small_csv, tmp_path):
         assert first == (int(fit["p_hat"]), float(fit["b_hat"]))
 
 
-def test_dump_densities_reads_the_input_once(small_csv, tmp_path, monkeypatch):
-    loads = []
-    real = cli.load_csv
-
-    def counting(*args, **kwargs):
-        loads.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "load_csv", counting)
-    out = tmp_path / "out"
-    assert run_detect(small_csv, out, ["--dump-densities"]) == EXIT_OK
-    assert len(loads) == 1
-    names = sorted(p.name for p in out.glob("model_density_b*.csv"))
-    assert names == [f"model_density_b{b}.csv" for b in ("0.000", "0.450", "0.900")]
-    # the dumped curve is the one `spectrum` writes for the run's c = N / T
-    curve = tmp_path / "curve.csv"
-    args = ["spectrum", "--b", "0.45", "--c", repr(20 / 30), "--output", str(curve)]
-    assert main(args) == EXIT_OK
-    assert (out / "model_density_b0.450.csv").read_bytes() == curve.read_bytes()
-
-
-def test_dump_densities_builds_no_density_of_its_own(tmp_path, monkeypatch):
-    """The dumped curves are the run's cached densities: the flag solves no
-    support that the run without it does not."""
-    calls = []
-    real = model_spectrum._support
-    monkeypatch.setattr(
-        model_spectrum, "_support", lambda params: calls.append(params) or real(params)
-    )
-    counts = []
-    for name, extra in (("plain", []), ("dumped", ["--dump-densities"])):
-        calls.clear()
-        assert run_case(tmp_path / name, extra) == EXIT_OK
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == 3
-    assert len(list((tmp_path / "dumped").glob("model_density_b*.csv"))) == 3
-
-
-def test_dump_densities_skips_a_b_whose_density_fails(tmp_path):
+def test_detect_scores_no_pair_at_a_b_whose_density_fails(tmp_path):
     """At c = 95 / 100 the b = 0.95 density fails its node-mass check, so
-    the run scores without that b and dumps no curve for it."""
+    the run searches that b but scores every window without it."""
     path = tmp_path / "wide.csv"
     np.savetxt(path, generate_ar1(Ar1Spec(b=0.3, seed=44), N=95, T=200), delimiter=",")
     out = tmp_path / "out"
     code = main(
         ["detect", "--input", str(path), "--output-dir", str(out), "--window-length", "100",
-         "--stride", "50", "--p-max", "2", "--b-step", "0.95", "--dump-densities"]
+         "--stride", "50", "--p-max", "2", "--b-step", "0.95", "--dump-surface"]
     )
     assert code == EXIT_OK
-    assert sorted(p.name for p in out.glob("model_density_b*.csv")) == ["model_density_b0.000.csv"]
-
-
-def test_dump_densities_names_every_b_of_a_fine_grid(small_csv, tmp_path, monkeypatch):
-    """At --b-step 0.005 each of the 191 b values gets a file of its own,
-    the curve that `spectrum --b <b>` writes at the run's c = N / T. The
-    curves are written at 50 points, not 2000, to keep the test short."""
-    monkeypatch.setattr(cli, "CURVE_POINTS", 50)
-    out = tmp_path / "out"
-    assert run_detect(small_csv, out, ["--b-step", "0.005", "--dump-densities"]) == EXIT_OK
-    b_values = RunConfig(input_path=str(small_csv), b_step=0.005).grid().b_values
-    assert len(b_values) == 191
-    names = sorted(p.name for p in out.glob("model_density_b*.csv"))
-    assert names == [f"model_density_b{b:.3f}.csv" for b in b_values]
-    curve = tmp_path / "curve.csv"
-    for b in b_values:
-        args = ["--b", repr(b), "--c", repr(20 / 30), "--points", "50", "--output", str(curve)]
-        assert main(["spectrum", *args]) == EXIT_OK
-        assert (out / f"model_density_b{b:.3f}.csv").read_bytes() == curve.read_bytes(), b
+    assert json.loads((out / "report.json").read_text())["grid"]["b_values"] == [0.0, 0.95]
+    with open(out / "timeline_run000.csv") as fh:
+        assert [float(r["b_hat"]) for r in csv.DictReader(fh)] == [0.0, 0.0, 0.0]
+    with open(out / "surface_run000.csv") as fh:
+        assert {float(r["b"]) for r in csv.DictReader(fh)} == {0.0}
 
 
 def test_detect_refuses_an_unknown_case_before_any_write(tmp_path):
@@ -325,11 +273,16 @@ def test_runconfig_takes_workers_as_one_only():
         RunConfig(case="case1", workers=2)
 
 
-def test_detect_has_no_workers_flag(capsys):
+@pytest.mark.parametrize("flags", [["--workers", "2"], ["--dump-densities"]], ids=" ".join)
+def test_detect_has_no_workers_flag(flags, tmp_path, capsys):
+    """Neither is an option: `detect` runs on one thread, and `factorspec
+    spectrum` is the one writer of a model density curve."""
+    out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
-        main(["detect", "--case", "case1", "--workers", "2"])
+        main(["detect", "--case", "case1", "--output-dir", str(out), *flags])
     assert exc.value.code == 2  # argparse's usage error
-    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_missing_input_is_config_error(tmp_path, capsys):
@@ -373,7 +326,10 @@ def test_detect_rejects_out_of_range_options(flags, tmp_path, capsys, monkeypatc
         cli, "_source_for_run", lambda *a: sourced.append(a) or real_source(*a)
     )
     assert run_case(tmp_path / "o", flags) == EXIT_CONFIG
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ConfigError"
+    if flags[0] == "--seed":
+        assert "seed = -1" in error["message"]
     assert swept == [] and sourced == []
     assert not (tmp_path / "o").exists()
 
@@ -399,6 +355,13 @@ def test_detect_builds_its_grid_once(small_csv, tmp_path, monkeypatch):
     monkeypatch.setattr(RunConfig, "grid", lambda self: built.append(self) or real(self))
     assert run_detect(small_csv, tmp_path / "o") == EXIT_OK
     assert len(built) == 1
+
+
+def test_validate_refuses_a_seed_that_is_not_an_integer():
+    """numpy's `SeedSequence` judges the seed, and its TypeError is told as
+    a ConfigError that names the seed."""
+    with pytest.raises(ConfigError, match=r"seed = 1\.5 must be a non-negative integer"):
+        RunConfig(case="case1", seed=1.5).validate()
 
 
 def test_validate_bounds_the_b_grid_before_building_it(monkeypatch):
@@ -554,7 +517,9 @@ def test_spectrum_bounds_its_points_before_building_a_curve(tmp_path, capsys, mo
     """More than 10000 points is refused, with the count, before a curve
     is built or written."""
     written = []
-    monkeypatch.setattr(cli, "_write_curve", lambda *a: written.append(a[-1]))
+    monkeypatch.setattr(
+        cli, "smoothed_density", lambda nodes, rho, grid, eps: written.append(grid.size) or grid
+    )
     args = ["spectrum", "--b", "0.3", "--c", "0.472", "--output", str(tmp_path / "c.csv")]
     assert main([*args, "--points", "100000000"]) == EXIT_CONFIG
     error = json.loads(capsys.readouterr().err)
