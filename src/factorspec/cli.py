@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -76,8 +77,8 @@ class RunConfig:
         source or an out-of-range option, before any record is read. Each
         rule is checked by its own owner: the grid by `SearchGrid`, the change
         rule by `detect_changes` on an empty average, the window geometry by
-        `WindowSpec` at the smallest row count, N = 2, the seed by numpy's
-        `SeedSequence`, and the case name by `case_schedule`. The rules that
+        `WindowSpec` at the smallest row count, N = 2, the seed by
+        `operator.index`, and the case name by `case_schedule`. The rules that
         need the record's N are `SearchGrid.check_shape`'s, but as N < T,
         p_max < window_length is checked here, before a p grid is built."""
         if (self.input_path is None) == (self.case is None):
@@ -101,7 +102,8 @@ class RunConfig:
                 "a window's rank is its row count N, and N < T"
             )
         try:
-            np.random.SeedSequence(self.seed)
+            if operator.index(self.seed) < 0:
+                raise ValueError
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"seed = {self.seed!r} must be a non-negative integer") from exc
         try:
@@ -197,6 +199,26 @@ def run_detect(config: RunConfig) -> dict:
     avg = average_runs(timelines)
     annotations = detect_changes(avg, threshold=config.threshold, hold=config.hold)
 
+    report = {
+        "version": __version__,
+        "config": {k: v for k, v in vars(config).items()},
+        "grid": {
+            "p_values": list(grid.p_values),
+            "b_values": list(grid.b_values),
+            "epsilon": grid.epsilon,
+            "bins": grid.bins,
+        },
+        "seeds": seeds,
+        "runs": config.runs,
+        "windows": len(avg.end_indices),
+        "failures": [list(f) for tl in timelines for f in tl.failures],
+        "annotations": [
+            {"end_index": a.end_index, "direction": a.direction} for a in annotations
+        ],
+        "wall_clock_seconds": elapsed,
+    }
+    # before any write, so no config value leaves partial outputs; a numpy int is an int
+    text = json.dumps(report, indent=2, default=operator.index)
     for k, tl in enumerate(timelines):
         _write_rows(
             out / f"timeline_run{k:03d}.csv",
@@ -220,25 +242,7 @@ def run_detect(config: RunConfig) -> dict:
         zip(avg.end_indices, avg.p_ave, avg.b_ave),
     )
 
-    report = {
-        "version": __version__,
-        "config": {k: v for k, v in vars(config).items()},
-        "grid": {
-            "p_values": list(grid.p_values),
-            "b_values": list(grid.b_values),
-            "epsilon": grid.epsilon,
-            "bins": grid.bins,
-        },
-        "seeds": seeds,
-        "runs": config.runs,
-        "windows": len(avg.end_indices),
-        "failures": [list(f) for tl in timelines for f in tl.failures],
-        "annotations": [
-            {"end_index": a.end_index, "direction": a.direction} for a in annotations
-        ],
-        "wall_clock_seconds": elapsed,
-    }
-    _atomic_write(out / "report.json", lambda fh: json.dump(report, fh, indent=2))
+    _atomic_write(out / "report.json", lambda fh: fh.write(text))
     return report
 
 

@@ -35,8 +35,8 @@ class EmptyBins(FactorSpecError):
 
 
 class ModelDensityError(FactorSpecError):
-    """The model density at (b, c) could not be built: its support is not
-    one interval, or its mass is not 1."""
+    """The model density at (b, c) could not be built: it has no support
+    0 < lo < hi wide enough for distinct nodes, or its mass is not 1."""
 
 
 class InvalidCoefficient(FactorSpecError):

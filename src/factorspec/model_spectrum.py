@@ -6,8 +6,8 @@ are real, and inside the support exactly one complex-conjugate pair of
 roots appears, so the density rho(lambda) = -Im G(lambda) / pi is read from
 the root of that pair with negative imaginary part: a closed form at each
 lambda, with no branch to track (`_density_root`). The support [lo, hi] is
-bounded by the positive real roots of the quartic's discriminant in z, which
-are Marchenko-Pastur's (1 -+ sqrt c)^2 at b = 0. The density is built on
+bounded by the critical values of the inverse z(M) (`_support`), which are
+Marchenko-Pastur's (1 -+ sqrt c)^2 at b = 0. The density is built on
 cosine-spaced nodes over the support and taken as piecewise linear between
 them. The width epsilon convolves it with a Cauchy kernel; for a
 piecewise-linear density the smoothed CDF and its derivative have closed
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as poly, polyutils
+from numpy.polynomial import polynomial as poly
 
 from .errors import ModelDensityError
 
@@ -113,10 +113,10 @@ def _density_root(zs: np.ndarray, b: float, c: float) -> np.ndarray:
     steps. A row whose M fails `_is_root` is solved from its companion
     matrix instead; that includes a non-finite M, which is what an edge
     row gives when rounding makes s or a radicand negative. On the default
-    nodes 5 rows in 1.57 million fall back (b from 0 to 0.95 by 0.01, c from
-    0.01 to 0.99), each at one of the last two nodes below the upper edge at
-    b >= 0.94 and c >= 0.9. Every row is computed the same way whatever n
-    is, so a z gets the same bits in any batch."""
+    nodes 10 rows in 1.57 million fall back (b from 0 to 0.95 by 0.01, 8 c
+    from 0.01 to 0.99), each at one of the last three nodes below the upper
+    edge at b >= 0.94 and c >= 0.47. Every row is computed the same way
+    whatever n is, so a z gets the same bits in any batch."""
     coeffs = np.stack([poly.polyval(zs, p) for p in _quartic(b, c)], axis=1)
     a3, a2, a1, a0 = (coeffs[:, 1:] / coeffs[:, :1]).T
     # depressed quartic y^4 + p y^2 + q y + r in y = M + shift: its
@@ -150,33 +150,26 @@ def _density_root(zs: np.ndarray, b: float, c: float) -> np.ndarray:
 
 
 def _support(params: NoiseModelParams) -> tuple[float, float]:
-    """The support [lo, hi] of the model density: the positive real roots of
-    the quartic's discriminant in z, where a complex-conjugate pair of roots
-    appears and vanishes. At b = 0 they are (1 -+ sqrt c)^2."""
-    q4, q3, q2, q1, q0 = _quartic(params.b, params.c)
-    mul, add, sub, pow_ = poly.polymul, poly.polyadd, poly.polysub, poly.polypow
-    # i = 12 q4 q0 - 3 q3 q1 + q2^2
-    i = add(sub(mul(12.0 * q4, q0), mul(3.0 * q3, q1)), pow_(q2, 2))
-    # j = 72 q4 q2 q0 + 9 q3 q2 q1 - 27 (q4 q1^2 + q0 q3^2) - 2 q2^3
-    j = sub(
-        sub(
-            add(mul(mul(72.0 * q4, q2), q0), mul(mul(9.0 * q3, q2), q1)),
-            27.0 * add(mul(q4, pow_(q1, 2)), mul(q0, pow_(q3, 2))),
-        ),
-        2.0 * pow_(q2, 3),
-    )
-    # 4 i^3 - j^2 is 27 times the discriminant, a polynomial of degree 8 in z
-    # (the terms past z^8 cancel). z = 0 is a double root, since (M + 1)^2
-    # divides the quartic there. At b = 0 the degree drops to 6, and what is
-    # left of the top terms is rounding.
-    disc = sub(4.0 * pow_(i, 3), pow_(j, 2))[2:9]
-    roots = poly.polyroots(polyutils.trimcoef(disc, 1e-12 * np.abs(disc).max()))
-    edges = np.sort(roots.real[(roots.real > 0) & (np.abs(roots.imag) <= 1e-9 * np.abs(roots))])
-    if edges.size != 2:
-        raise ModelDensityError(
-            f"the support at b={params.b}, c={params.c} is not one interval: "
-            f"discriminant roots {edges}"
-        )
+    """The support [lo, hi] of the model density, the critical values of
+    z(M) (Silverstein and Choi 1995). In t = M z / (M + 1) the quartic is
+    (1 - b^2)^2 (M + 1)^2 (t^2 - k M t + c^2 M^2 - 1), k = 2 c (1 + b^2) /
+    (1 - b^2), a conic, and dz/dM = 0 for z = t (M + 1) / M at the two real
+    roots (Descartes) of 4 c^4 b^2 M^6 + c^2 (1 + b^2)^2 M^4 + 8 c^2 b^2 M^3
+    - (1 - b^2)^2, where t = (1 + c^2 M^3) (1 - b^2) / (c (1 + b^2) M^2).
+    In v = 1 / (sqrt(c) M), of order 1 at small c, no coefficient cancels
+    and z = (v^2 + sqrt(c) / v) (1 + sqrt(c) v) (1 - b^2) / (1 + b^2). At
+    b = 0, v = -+1 gives (1 -+ sqrt c)^2; at c = 1, v = -1 + e gives
+    lo = -3 e^2 (1 - b^2) / (1 + b^2) <= 0, which is refused."""
+    b, c = params.b, params.c
+    b2, r = b * b, math.sqrt(c)
+    edges = np.zeros(0)
+    if c * c * c < math.inf:  # then so is hi^2, the size of the quartic on the support
+        # np.roots gives a zero constant term (b = 0) the root 0; a real root has imag 0
+        v = np.roots([-((1 - b2) ** 2), 0, 0, 8 * r * b2, (1 + b2) ** 2, 0, 4 * b2 * c])
+        v = v[(v.imag == 0) & (v != 0)].real
+        edges = np.sort((v * v + r / v) * (1 + r * v) * (1 - b2) / (1 + b2))
+    if not (edges.size == 2 and 0.0 < edges[0] < edges[1]):
+        raise ModelDensityError(f"no support 0 < lo < hi at b={b}, c={c}: edges {edges}")
     return float(edges[0]), float(edges[1])
 
 
@@ -184,11 +177,13 @@ def default_lambda_grid(
     params: NoiseModelParams, n_points: int = DEFAULT_NODES
 ) -> np.ndarray:
     """Cosine-spaced nodes over the support [lo, hi], denser toward both
-    edges: lo + (hi - lo) (1 - cos(pi u)) / 2 for u evenly spaced in [0, 1].
-    The first and last nodes are the edges themselves."""
+    edges: lo + (hi - lo) (1 - cos(pi u)) / 2 for u evenly spaced in [0, 1],
+    the first and last being the edges. ModelDensityError if two coincide."""
     lo, hi = _support(params)
     nodes = lo + 0.5 * (hi - lo) * (1.0 - np.cos(np.linspace(0.0, np.pi, n_points)))
     nodes[-1] = hi
+    if not np.all(np.diff(nodes) > 0):
+        raise ModelDensityError(f"support [{lo}, {hi}] too narrow for {n_points} distinct nodes")
     return nodes
 
 

@@ -358,10 +358,31 @@ def test_detect_builds_its_grid_once(small_csv, tmp_path, monkeypatch):
 
 
 def test_validate_refuses_a_seed_that_is_not_an_integer():
-    """numpy's `SeedSequence` judges the seed, and its TypeError is told as
-    a ConfigError that names the seed."""
+    """`operator.index` judges the seed, and its TypeError is told as a
+    ConfigError that names the seed."""
     with pytest.raises(ConfigError, match=r"seed = 1\.5 must be a non-negative integer"):
         RunConfig(case="case1", seed=1.5).validate()
+
+
+def test_validate_refuses_a_seed_sequence(tmp_path):
+    """numpy seeds a generator from a list, but a run adds k to its seed for
+    run k, so a list is refused before anything is read or written."""
+    config = RunConfig(case="case1", seed=[1, 2], output_dir=str(tmp_path / "o"))
+    with pytest.raises(ConfigError, match=r"seed = \[1, 2\] must be a non-negative integer"):
+        cli.run_detect(config)
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_numpy_integer_seed_runs_as_its_int(tmp_path):
+    """A seed of np.int64(3) writes every output, the same as seed 3, and
+    report.json holds it as the int 3."""
+    flags = dict(case="case1", stride=50, p_max=2, b_step=0.45, bins=20)
+    for name, seed in (("numpy", np.int64(3)), ("int", 3)):
+        cli.run_detect(RunConfig(seed=seed, output_dir=str(tmp_path / name), **flags))
+    for name in ("timeline_run000.csv", "run_average.csv"):
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+    report = json.loads((tmp_path / "numpy" / "report.json").read_text())
+    assert report["seeds"] == [3] and report["config"]["seed"] == 3
 
 
 def test_validate_bounds_the_b_grid_before_building_it(monkeypatch):

@@ -3,6 +3,7 @@ smoothing, binning and MP reduction."""
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,12 +126,64 @@ def test_a_root_that_fails_the_check_is_solved_from_its_companion(monkeypatch):
 
 
 def test_support_edges_equal_marchenko_pastur_at_b_zero():
-    """The discriminant's positive real roots are (1 -+ sqrt c)^2 at b = 0,
-    and the nodes run from one edge to the other."""
+    """The edges that the sextic's two real roots give are (1 -+ sqrt c)^2
+    at b = 0, and the nodes run from one edge to the other."""
     for c in (0.1, C, 20 / 30, 0.9):
         nodes = default_lambda_grid(NoiseModelParams(b=0.0, c=c))
         assert nodes[[0, -1]] == pytest.approx(oracles.mp_support(c), rel=1e-10, abs=0.0)
         assert np.all(np.diff(nodes) > 0)
+
+
+def test_support_edges_bound_the_quartics_complex_pair():
+    """Checked on the quartic itself, apart from how the edges are found:
+    just inside [lo, hi] it has a complex-conjugate pair, just outside four
+    real roots. delta = 1e-6 was chosen far above the edges' own error
+    (5e-13 of an edge against 60-digit roots) and far below the support's
+    half-width (2 sqrt c = 0.02 of an edge at c = 1e-4). On this grid the
+    pair's imaginary part is at least 5e-6 of the root, and the reference's
+    real roots have parts below 1e-15 of theirs: 1e-8 splits the two."""
+    delta = 1e-6
+    for b, c in itertools.product(B_VALUES, np.geomspace(1e-4, 0.99, 25)):
+        lo, hi = model_spectrum._support(NoiseModelParams(b=b, c=c))
+        zs = np.array([lo * (1 + delta), hi * (1 - delta), lo * (1 - delta), hi * (1 + delta)])
+        roots = oracles.companion_roots(oracles.moment_coefficients(zs, b, c))
+        complex_roots = np.sum(np.abs(roots.imag) > 1e-8 * np.abs(roots), axis=1)
+        assert complex_roots.tolist() == [2, 2, 0, 0], (b, c)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-5, 1 / 900, 1e-3, 0.003635609076657396])
+def test_white_noise_model_builds_at_small_aspect_ratios(c):
+    """b = 0 is Marchenko-Pastur at every c: the cache builds it, with edges
+    (1 -+ sqrt c)^2, for c = 1/900 (a 3 x 2700 window) and the other c at
+    which it failed for want of a support."""
+    nodes, rho = ModelDensityCache().curve(0.0, c)
+    assert nodes[[0, -1]] == pytest.approx(oracles.mp_support(c), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-5])
+def test_every_default_b_builds_at_small_aspect_ratios(c):
+    """Each default b builds: for want of a support, 16 of them failed at
+    c = 1e-6 and 5 at c = 1e-5."""
+    cache = ModelDensityCache()
+    for b in B_VALUES:
+        cache.curve(b, c)
+
+
+def test_extreme_aspect_ratios_build_or_raise_model_density_error(tmp_path):
+    """Down to c = 1e-12 every default b builds; past what floats resolve,
+    at either end of c, a curve is refused as a ModelDensityError, with no
+    other exception and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c in (1e-12, 1e-14, 1e-20, 1e-40, 1e-76, 1e-100, 1e-160, 1e-300, 1e155, 1e300):
+            for b in B_VALUES:
+                try:
+                    ModelDensityCache().curve(b, c)
+                except ModelDensityError:
+                    assert c < 1e-12 or c > 1, (b, c)
+    out = tmp_path / "curve.csv"
+    assert cli.main(["spectrum", "--b", "0.3", "--c", "1e-300", "--output", str(out)]) == 4
+    assert not out.exists()
 
 
 def test_a_density_build_solves_the_support_once(monkeypatch, tmp_path):
