@@ -500,6 +500,26 @@ def test_cache_keys_a_block_on_its_exact_edges():
         assert np.array_equal(block.masses[0], estimator.bin_curve(*curve, edges, 1e-3))
 
 
+@pytest.mark.parametrize("first, second", [(4e-13, 1e-13), (0.472 + 4e-13, 0.472)])
+def test_cache_keys_a_curve_on_its_exact_c(first, second):
+    """Two aspect ratios that agree to 12 decimals get their own curves:
+    after c = 4e-13 (support edges 0.99999874 and 1.00000126), c = 1e-13
+    gets the curve a fresh cache gives it."""
+    cache = ModelDensityCache()
+    cache.curve(0.0, first)
+    nodes, rho = cache.curve(0.0, second)
+    fresh_nodes, fresh_rho = ModelDensityCache().curve(0.0, second)
+    assert np.array_equal(nodes, fresh_nodes) and np.array_equal(rho, fresh_rho)
+
+
+def test_cache_keys_a_block_on_its_exact_c():
+    cache = ModelDensityCache()
+    edges = np.linspace(0.0, 4.0, 41)
+    cache.masses((0.3,), 0.472 + 4e-13, 1e-3, edges)
+    got = cache.masses((0.3,), 0.472, 1e-3, edges).masses
+    assert np.array_equal(got, ModelDensityCache().masses((0.3,), 0.472, 1e-3, edges).masses)
+
+
 def test_cache_builds_one_curve_per_b_across_edge_spans(monkeypatch):
     built = []
     real = estimator.model_density_curve
