@@ -141,7 +141,9 @@ class ModelDensityCache:
 
     The exact density depends only on (b, c), so each is built once on its
     cosine nodes over the support (`default_lambda_grid`,
-    `model_density_curve`) and kept: windows bin it, and the `spectrum`
+    `model_density_curve`) and kept under the exact floats b and c, with
+    no rounding: every window computes c as N / T, so one shape always
+    finds its curves. Windows bin the density, and the `spectrum`
     command writes it smoothed (`smoothed_density`). A density
     whose trapezoid mass on its nodes is not within 1e-6 of 1 raises
     `ModelDensityError`; the curve keeps the error and raises it again, so
@@ -161,7 +163,7 @@ class ModelDensityCache:
 
     def curve(self, b: float, c: float) -> tuple[np.ndarray, np.ndarray]:
         """(nodes, exact density) of the model at (b, c)."""
-        key = (round(b, 10), round(c, 12))
+        key = (b, c)
         hit = self._curves.get(key)
         if hit is None:
             try:
@@ -181,7 +183,7 @@ class ModelDensityCache:
         nonnegative (an epsilon far past the support's scale), is left out
         of the block; if every b fails, the last failure is raised and no
         block is stored."""
-        key = (tuple(b_values), round(c, 12), epsilon, np.asarray(bin_edges, dtype=float).tobytes())
+        key = (tuple(b_values), c, epsilon, np.asarray(bin_edges, dtype=float).tobytes())
         hit = self._blocks.get(key)
         if hit is None:
             built, rows = [], []

@@ -1,17 +1,18 @@
 """Theoretical residual spectral density for AR(1)-correlated noise.
 
 The model's Green's function G(z) = (M(z) + 1) / z solves a quartic in the
-moment generating function M. On the real axis the quartic's coefficients
-are real, and inside the support exactly one complex-conjugate pair of
-roots appears, so the density rho(lambda) = -Im G(lambda) / pi is read from
-the root of that pair with negative imaginary part: a closed form at each
-lambda, with no branch to track (`_density_root`). The support [lo, hi] is
-bounded by the critical values of the inverse z(M) (`_support`), which are
-Marchenko-Pastur's (1 -+ sqrt c)^2 at b = 0. The density is built on
-cosine-spaced nodes over the support and taken as piecewise linear between
-them. The width epsilon convolves it with a Cauchy kernel; for a
-piecewise-linear density the smoothed CDF and its derivative have closed
-forms (`bin_curve`, `smoothed_density`).
+moment generating function M whose coefficients are polynomials in z of
+degree at most 2, each node's row built by Horner in z. On the real axis
+the quartic's coefficients are real, and inside the support exactly one
+complex-conjugate pair of roots appears, so the density rho(lambda) = -Im
+G(lambda) / pi is read from the root of that pair with negative imaginary
+part: a closed form at each lambda, with no branch to track
+(`_density_root`). The support [lo, hi] is bounded by the critical values
+of the inverse z(M) (`_support`), which are Marchenko-Pastur's (1 -+ sqrt
+c)^2 at b = 0. The density is built on cosine-spaced nodes over the support
+and taken as piecewise linear between them. The width epsilon convolves it
+with a Cauchy kernel; for a piecewise-linear density the smoothed CDF and
+its derivative have closed forms (`bin_curve`, `smoothed_density`).
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as poly
 
 from .errors import ModelDensityError
 
@@ -90,22 +90,12 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(polished), polished, raw)
 
 
-def _quartic(b: float, c: float) -> tuple[np.ndarray, ...]:
-    """The moment polynomial's coefficients, highest degree in M first, each
-    a polynomial in z given by its coefficients, lowest degree first."""
-    a2 = 1.0 - b * b
-    a4 = a2 * a2
-    w = -2.0 * a2 * c * (1.0 + b * b)
-    return tuple(
-        np.array(p)
-        for p in ([a4 * c * c], [2.0 * a4 * c * c, w], [(c * c - 1.0) * a4, w, a4], [-2.0 * a4], [-a4])
-    )
-
-
 def _density_root(zs: np.ndarray, b: float, c: float) -> np.ndarray:
     """At each real z inside the support, the root M of the moment
     polynomial with negative imaginary part, whose -Im((M + 1) / z) / pi is
-    the density there.
+    the density there. With a4 = (1 - b^2)^2 and w = -2 c (1 - b^4), the
+    polynomial is a4 c^2 M^4 + (2 a4 c^2 + w z) M^3 + ((c^2 - 1) a4 + (w +
+    a4 z) z) M^2 - 2 a4 M - a4, each row written in place by Horner in z.
 
     Ferrari in real arithmetic: the resolvent cubic has one real root s > 0,
     which splits the quartic into two real quadratics, and M is a root of
@@ -117,7 +107,14 @@ def _density_root(zs: np.ndarray, b: float, c: float) -> np.ndarray:
     from 0.01 to 0.99), each at one of the last three nodes below the upper
     edge at b >= 0.94 and c >= 0.47. Every row is computed the same way
     whatever n is, so a z gets the same bits in any batch."""
-    coeffs = np.stack([poly.polyval(zs, p) for p in _quartic(b, c)], axis=1)
+    a4 = (1.0 - b * b) * (1.0 - b * b)
+    w = -2.0 * (1.0 - b * b) * c * (1.0 + b * b)
+    coeffs = np.empty((zs.size, 5))
+    coeffs[:, 0] = a4 * c * c
+    coeffs[:, 1] = 2.0 * a4 * c * c + w * zs
+    coeffs[:, 2] = (c * c - 1.0) * a4 + (w + a4 * zs) * zs
+    coeffs[:, 3] = -2.0 * a4
+    coeffs[:, 4] = -a4
     a3, a2, a1, a0 = (coeffs[:, 1:] / coeffs[:, :1]).T
     # depressed quartic y^4 + p y^2 + q y + r in y = M + shift: its
     # coefficients are the Taylor coefficients of the monic quartic at -shift

@@ -121,3 +121,29 @@ def test_runs_without_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "report.json").is_file()
+
+
+NO_POLYNOMIAL_WINDOW = """
+import sys
+import numpy as np
+import factorspec.cli
+from factorspec import ModelDensityCache, RawWindow, SearchGrid, estimate_window, standardize
+x = np.random.default_rng(0).normal(size=(118, 250))
+estimate_window(standardize(RawWindow(x, 250)), SearchGrid(), ModelDensityCache())
+loaded = sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))
+sys.exit(f"numpy.polynomial modules loaded: {loaded}" if loaded else 0)
+"""
+
+
+def test_a_window_loads_no_numpy_polynomial():
+    """A fresh interpreter that imports the CLI, builds and bins the model
+    curves on a fresh cache and scores one 118 x 250 window loads no module
+    of numpy.polynomial (scipy, loaded under pytest, may load it itself)."""
+    done = subprocess.run(
+        [sys.executable, "-c", NO_POLYNOMIAL_WINDOW],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent), "OPENBLAS_NUM_THREADS": "1"},
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr + done.stdout
