@@ -30,9 +30,9 @@ from .model_spectrum import (
 )
 
 
-# Caps on what one window allocates: binning a b's curve makes a (bins x 257)
-# float64 kernel (21 MB at the cap), and scoring the surface makes (p, b, bin)
-# float64 arrays (80 MB each at the cap).
+# Caps on what one window allocates: binning a b's curve makes one (bins x
+# 257) float64 kernel (21 MB at the cap) and three (16 x 257) blocks, and
+# scoring the surface makes (p, b, bin) float64 arrays (80 MB each at the cap).
 BINS_MAX = 10_000
 SURFACE_CELLS_MAX = 10**7
 

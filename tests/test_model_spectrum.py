@@ -101,11 +101,11 @@ def test_solver_matches_companion_reference(c, monkeypatch):
         assert rel.max() < 1e-10, (b, c, zs[np.argmax(rel)])
 
 
-def test_a_root_that_fails_the_check_is_solved_from_its_companion(monkeypatch):
+def test_a_root_that_fails_the_check_is_solved_by_the_fallback(monkeypatch):
     """Rows whose Ferrari root fails `_is_root` (here every other one, by
-    force) take the companion-matrix root, and the density they give is the
-    reference's."""
-    real_check, real_companion = model_spectrum._is_root, model_spectrum._companion_roots
+    force) take the Aberth-Ehrlich root, and the density they give is the
+    companion-matrix reference's."""
+    real_check, real_fallback = model_spectrum._is_root, model_spectrum._aberth_roots
     calls = []
 
     def odd_rows_only(m, coeffs):
@@ -113,16 +113,40 @@ def test_a_root_that_fails_the_check_is_solved_from_its_companion(monkeypatch):
 
     def counted(coeffs):
         calls.append(len(coeffs))
-        return real_companion(coeffs)
+        return real_fallback(coeffs)
 
     monkeypatch.setattr(model_spectrum, "_is_root", odd_rows_only)
-    monkeypatch.setattr(model_spectrum, "_companion_roots", counted)
+    monkeypatch.setattr(model_spectrum, "_aberth_roots", counted)
     for b in (0.0, 0.5, 0.95):
         nodes, rho = exact_curve(b, C)
         lam = nodes[1:-1]
         want = np.clip(-companion_density_root(lam, b, C).imag, 0.0, None) / (math.pi * lam)
         assert calls.pop() == (lam.size + 1) // 2
         assert np.max(np.abs(rho[1:-1] - want)) <= 1e-10 * want.max(), b
+
+
+def test_the_default_curves_build_without_complex_eigvals(monkeypatch):
+    """No model build calls `numpy.linalg.eigvals` (LAPACK zgeev): with it
+    made to raise, a fresh cache builds the 20 default curves at c =
+    118/250, where the fallback solves a row (b = 0.95, next to the upper
+    edge). `np.roots`, which `_support` calls, binds its own eigvals."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigvals was called")
+
+    rows = []
+    real_fallback = model_spectrum._aberth_roots
+
+    def counted(coeffs):
+        rows.append(len(coeffs))
+        return real_fallback(coeffs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    monkeypatch.setattr(model_spectrum, "_aberth_roots", counted)
+    cache = ModelDensityCache()
+    for b in B_VALUES:
+        cache.curve(b, C)
+    assert sum(rows) >= 1
 
 
 def test_support_edges_equal_marchenko_pastur_at_b_zero():
@@ -243,6 +267,47 @@ def test_binned_mass_is_one_before_any_normalization():
                 masses = bin_curve(nodes, rho, np.linspace(0.0, top, 101), epsilon)
                 assert masses.sum() == pytest.approx(1.0, abs=1e-6), (b, c, epsilon, top)
                 assert masses.min() >= 0.0
+
+
+@pytest.fixture(scope="module")
+def curves():
+    """One cache for the tests that read every default curve at several c."""
+    return ModelDensityCache()
+
+
+@pytest.mark.parametrize("bins", [2, 17, 37, 100, 101, 2000])
+def test_bin_curve_is_the_full_array_formula_bit_for_bit(bins, curves):
+    """`bin_curve` writes its Cauchy kernel a block of edges at a time, in
+    place; its masses are the bits of the one-expression formula
+    (`oracles.cauchy_bin_masses`) whether the last block is whole, partial
+    or one edge, on every default b, spans from 2 to 40 and epsilon from
+    1e-2 to 1e-4. At 2000 bins (125 whole blocks) a smaller grid: the
+    full one takes 30 s there."""
+    cs, spans, widths = (0.05, C, 0.9), (2.0, 3.75, 11.75, 40.0), (1e-2, 1e-3, 1e-4)
+    if bins == 2000:
+        cs, spans, widths = (C,), (3.75, 40.0), (1e-2, 1e-4)
+    for c, b in itertools.product(cs, B_VALUES):
+        nodes, rho = curves.curve(b, c)
+        for top, epsilon in itertools.product(spans, widths):
+            edges = np.linspace(0.0, top, bins + 1)
+            got = bin_curve(nodes, rho, edges, epsilon)
+            want = oracles.cauchy_bin_masses(nodes, rho, edges, epsilon, model_spectrum._TAIL_STEP)
+            assert got.tobytes() == want.tobytes(), (b, c, top, epsilon)
+
+
+def test_model_moments_match_their_closed_forms(curves):
+    """Each default curve's first moment is 1 and its second is 1 + c (1 +
+    b^2) / (1 - b^2), 1 + c tr(A^2) / T for the AR(1) autocorrelation A.
+    The trapezoid rule on the nodes errs by about 1e-6 (the cache refuses a
+    mass further from 1), and the weight lambda^k scales that by at most
+    hi^k: that is the tolerance."""
+    for c, b in itertools.product((0.05, C, 0.9), B_VALUES):
+        nodes, rho = curves.curve(b, c)
+        hi = nodes[-1]
+        m1 = np.trapezoid(nodes * rho, nodes)
+        m2 = np.trapezoid(nodes * nodes * rho, nodes)
+        assert abs(m1 - 1.0) <= 1e-6 * hi, (b, c, m1)
+        assert abs(m2 - (1.0 + c * (1.0 + b * b) / (1.0 - b * b))) <= 1e-6 * hi * hi, (b, c, m2)
 
 
 def piecewise_linear_cdf(knots, values, epsilon, x):
