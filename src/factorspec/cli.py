@@ -121,7 +121,7 @@ class RunConfig:
         # compare the rounded value: 19 * 0.05 exceeds 0.95 in floating point
         b_values = (round(i * self.b_step, 10) for i in range(steps))
         return SearchGrid(
-            p_values=range(self.p_max + 1),
+            p_max=self.p_max,
             b_values=tuple(b for b in b_values if b <= DEFAULT_B_MAX),
             epsilon=self.epsilon,
             bins=self.bins,
@@ -232,7 +232,7 @@ def run_detect(config: RunConfig) -> dict:
                 (
                     (r.end_index, p, b, d)
                     for r in tl.results
-                    for p, row in zip(r.p_values, r.surface.tolist())
+                    for p, row in enumerate(r.surface.tolist())
                     for b, d in zip(r.b_values, row)
                 ),
             )

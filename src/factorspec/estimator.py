@@ -39,11 +39,12 @@ SURFACE_CELLS_MAX = 10**7
 
 @dataclass(frozen=True)
 class SearchGrid:
-    """Joint (p, b) search domain plus spectral-comparison settings. The p
-    and b values are stored as sorted tuples, whatever sized sequence (a
-    range, say) is given; the surface's size is checked before they are."""
+    """Joint (p, b) search domain plus spectral-comparison settings: p runs
+    from 0 to `p_max`, and the b values are stored as a sorted tuple,
+    whatever sized sequence is given; the surface's size is checked before
+    they are."""
 
-    p_values: tuple[int, ...] = tuple(range(11))
+    p_max: int = 10
     b_values: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(20))
     epsilon: float = DEFAULT_EPSILON
     bins: int = 100
@@ -54,16 +55,15 @@ class SearchGrid:
         if self.bins > BINS_MAX:
             raise ValueError(f"bins = {self.bins} must be at most {BINS_MAX}")
         # sized before sorted, so an oversized grid is refused before it is copied
-        p, b = len(self.p_values), len(self.b_values)
+        p, b = self.p_max + 1, len(self.b_values)
         if p * b * self.bins > SURFACE_CELLS_MAX:
             raise ValueError(
                 f"a surface of {p} p x {b} b x {self.bins} bins = {p * b * self.bins} "
                 f"cells must have at most {SURFACE_CELLS_MAX}"
             )
-        object.__setattr__(self, "p_values", tuple(sorted(self.p_values)))
         object.__setattr__(self, "b_values", tuple(sorted(self.b_values)))
-        if not self.p_values or any(p < 0 for p in self.p_values):
-            raise ValueError("p_values must be nonempty and nonnegative")
+        if self.p_max < 0:
+            raise ValueError(f"p_max = {self.p_max} must be nonnegative")
         if not self.b_values or any(not 0 <= b <= DEFAULT_B_MAX for b in self.b_values):
             raise ValueError(f"b_values must lie within [0, {DEFAULT_B_MAX}]")
         if not EPSILON_MIN <= self.epsilon < math.inf:
@@ -79,15 +79,20 @@ class SearchGrid:
                 f"aspect ratio c = N / T = {n} / {t} must be below 1: "
                 f"use a window longer than {n} samples"
             )
-        if self.p_values[-1] > n:
-            raise InvalidFactorCount(f"p = {self.p_values[-1]} exceeds the window's rank N = {n}")
+        if self.p_max > n:
+            raise InvalidFactorCount(f"p = {self.p_max} exceeds the window's rank N = {n}")
+
+    @property
+    def p_values(self) -> range:
+        """The searched p, 0 to p_max: row p of a window's surface is p."""
+        return range(self.p_max + 1)
 
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """One window's fit. `surface[i, j]` is the JS divergence at
-    (p_values[i], b_values[j]), read-only; `b_values` are the grid's b
-    values whose model density built. (p_hat, b_hat) is its argmin and
+    """One window's fit. `surface[p, j]` is the JS divergence at
+    (p, b_values[j]), read-only; `b_values` are the grid's b values whose
+    model density built. (p_hat, b_hat) is its argmin and
     `divergence` its minimum. Results compare equal by every field but
     the surface, which the others are read from."""
 
@@ -95,7 +100,6 @@ class EstimationResult:
     p_hat: int
     b_hat: float
     divergence: float
-    p_values: tuple[int, ...]
     b_values: tuple[float, ...]
     surface: np.ndarray = field(compare=False, repr=False)
 
@@ -215,7 +219,7 @@ def _residual_eigenvalues(window: StandardizedWindow) -> np.ndarray:
 
     Subtracting the top-p principal part replaces the top p eigenvalues
     with zeros and leaves the rest untouched, so this one spectrum serves
-    every p."""
+    every p from 0 to p_max, and its first eigenvalue spans them all."""
     x = window.values
     return np.linalg.eigvalsh((x @ x.T) / x.shape[1])[::-1]
 
@@ -246,10 +250,8 @@ def estimate_window(
     grid.check_shape(n, t)
     c = n / t
     eigs = _residual_eigenvalues(window)
-    p_values = grid.p_values  # sorted
-    # the largest eigenvalue of the lowest level, whose zeroed ones count as 0
-    edges = shared_bin_edges(float(eigs[p_values[0] :].max(initial=0.0)), c, grid.bins)
-    emp_masses = density_from_eigenvalues(eigs, edges, p_values)
+    edges = shared_bin_edges(float(eigs[0]), c, grid.bins)
+    emp_masses = density_from_eigenvalues(eigs, edges, grid.p_max)
     try:
         block = cache.masses(grid.b_values, c, grid.epsilon, edges)
     except FactorSpecError as exc:
@@ -258,13 +260,12 @@ def estimate_window(
     surface = js_divergence_masses(emp_masses[:, None, :], block.smoothed)
     surface.flags.writeable = False
     first = int(np.argmax(surface <= surface.min() + 1e-15))  # row-major: p, then b
-    i, j = divmod(first, len(b_values))
+    p, j = divmod(first, len(b_values))
     return EstimationResult(
         end_index=window.end_index,
-        p_hat=p_values[i],
+        p_hat=p,
         b_hat=b_values[j],
-        divergence=float(surface[i, j]),
-        p_values=p_values,
+        divergence=float(surface[p, j]),
         b_values=b_values,
         surface=surface,
     )

@@ -95,7 +95,7 @@ def b_recovery(seed, **ar1):
     0, 0.3 and 0.6, searching p = 0 only; `ar1` goes to each Ar1Spec.
     Returns the within-one-step rates, the mean b_hat per b and whether both
     meet criterion 3's targets."""
-    grid = SearchGrid(p_values=(0,), bins=30, epsilon=EPSILON)
+    grid = SearchGrid(p_max=0, bins=30, epsilon=EPSILON)
     rates, means = [], []
     for b_true in (0.0, 0.3, 0.6):
         hats = []

@@ -10,7 +10,7 @@ import pytest
 
 from factorspec import Ar1Spec, SearchGrid, generate_ar1
 from factorspec import cli, datagen
-from factorspec.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, RunConfig, main
+from factorspec.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PIPELINE, RunConfig, main
 from factorspec.errors import ConfigError, FactorSpecError
 
 DETECT_FLAGS = [
@@ -120,7 +120,7 @@ def test_detect_refuses_a_window_shape_with_the_grid_message(n, t, p_max, tmp_pa
     assert code == EXIT_CONFIG
     error = json.loads(capsys.readouterr().err)
     with pytest.raises(FactorSpecError) as owner:
-        SearchGrid(p_values=range(p_max + 1)).check_shape(n, t)
+        SearchGrid(p_max=p_max).check_shape(n, t)
     assert error == {"error": "ConfigError", "message": str(owner.value)}
     assert not (tmp_path / "o").exists()
 
@@ -475,6 +475,43 @@ def test_detect_scores_a_csv_row_at_the_float_limit(small_csv, tmp_path):
 
 def test_detect_rejects_bad_counts(small_csv, tmp_path):
     assert run_detect(small_csv, tmp_path / "o", ["--runs", "0"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_atomic_write_leaves_no_file_when_its_writer_fails(tmp_path, existing):
+    """A writer's error is raised again and its temp file removed: a new
+    target is not made, and an existing one keeps its old content."""
+    target = tmp_path / "out.csv"
+    if existing:
+        target.write_text("old\n")
+
+    def fail(fh):
+        fh.write("partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        cli._atomic_write(target, fail)
+    assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if existing else [])
+    if existing:
+        assert target.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "detect"])
+def test_an_output_under_a_regular_file_exits_with_an_io_error(command, small_csv, tmp_path, capsys):
+    """An OSError, here FileExistsError from making a directory where a
+    regular file is (the curve's parent, or detect's output directory),
+    exits 3 with a JSON error record, and the file is left as it was."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    if command == "spectrum":
+        args = ["spectrum", "--b", "0.3", "--c", "0.472", "--points", "50",
+                "--output", str(blocker / "curve.csv")]
+    else:
+        args = ["detect", "--input", str(small_csv), "--output-dir", str(blocker), *DETECT_FLAGS]
+    assert main(args) == EXIT_IO
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "FileExistsError" and str(blocker) in error["message"]
+    assert blocker.read_text() == "kept\n"
 
 
 def test_spectrum_writes_curve(tmp_path):

@@ -236,6 +236,15 @@ def test_load_csv_skip_header(tmp_path):
     assert np.array_equal(src.values, [[1, 2, 3], [4, 5, 6]])
 
 
+def test_load_csv_skips_a_header_longer_than_one_piece(tmp_path, monkeypatch):
+    """A header is read piece by piece to its end: no part of it is taken
+    for a record line."""
+    monkeypatch.setattr(data_model, "_PIECE_CHARS", 4)
+    path = tmp_path / "data.csv"
+    path.write_text("alpha,beta,gamma\n1,2,3\n4,5,6\n")
+    assert np.array_equal(load_csv(path, skip_header=True).values, [[1, 2, 3], [4, 5, 6]])
+
+
 def test_load_csv_parse_error_locates_cell(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("1,2,3\n4,oops,6\n7,8,9\n")
@@ -437,7 +446,7 @@ def test_only_a_copied_record_is_mapped(monkeypatch):
     assert len(maps) == 3
     RawWindow(values=writable[:, :30], end_index=30)
     assert len(maps) == 3
-    grid = SearchGrid(p_values=(0, 1), b_values=(0.0, 0.5), epsilon=1e-3, bins=10)
+    grid = SearchGrid(p_max=1, b_values=(0.0, 0.5), epsilon=1e-3, bins=10)
     timeline = sweep(source, WindowSpec(N=6, T=30, stride=10), grid, ModelDensityCache())
     assert len(timeline.results) == 4 and len(maps) == 3
 

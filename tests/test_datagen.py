@@ -21,6 +21,24 @@ from factorspec.errors import InvalidCoefficient, ScheduleOutOfRange
 import oracles
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PlantedFactorSpec(k=0), "k must be >= 1"),
+        (lambda: generate_ar1(Ar1Spec(b=0.3), N=3, T=10, burn_in=-1), "burn_in"),
+        (
+            lambda: planted_factor_matrix(PlantedFactorSpec(k=4, seed=0), Ar1Spec(b=0.3), N=3, T=10),
+            "more factors than channels",
+        ),
+        (lambda: brute_force_spectrum(0.3, N=3, T=10, trials=0), "trials"),
+    ],
+    ids=["k-zero", "negative-burn-in", "k-above-n", "no-trials"],
+)
+def test_generators_refuse_out_of_range_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_ar1_spec_rejects_nonstationary_coefficients():
     with pytest.raises(InvalidCoefficient):
         Ar1Spec(b=1.0)

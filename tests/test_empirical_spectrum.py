@@ -96,9 +96,9 @@ def test_density_rejects_a_nan_eigenvalue():
     """A NaN has no bin, so it is refused rather than counted in the last
     one; an infinite eigenvalue is a stray, clamped into its end bin."""
     edges = np.array([0.0, 1.0, 2.0, 3.0])
-    for levels in (None, (0, 1)):
+    for p_max in (None, 1):
         with pytest.raises(ValueError, match="NaN"):
-            density_from_eigenvalues(np.array([np.nan, 0.5, 1.5]), edges, levels)
+            density_from_eigenvalues(np.array([np.nan, 0.5, 1.5]), edges, p_max)
     masses = density_from_eigenvalues(np.array([np.inf, 0.5, -np.inf]), edges)
     assert np.array_equal(masses, np.array([2, 0, 1]) / 3)
 

@@ -46,7 +46,7 @@ def standardized(x, end_index=None):
 
 def small_grid(**kw):
     defaults = dict(
-        p_values=(0, 1, 2, 3),
+        p_max=3,
         b_values=(0.0, 0.2, 0.4, 0.6),
         bins=40,
         epsilon=1e-4,
@@ -56,10 +56,8 @@ def small_grid(**kw):
 
 
 def test_search_grid_validation():
-    with pytest.raises(ValueError):
-        SearchGrid(p_values=())
-    with pytest.raises(ValueError):
-        SearchGrid(p_values=(-1,))
+    with pytest.raises(ValueError, match="p_max = -1 must be nonnegative"):
+        SearchGrid(p_max=-1)
     with pytest.raises(ValueError):
         SearchGrid(b_values=(0.99,))
     with pytest.raises(ValueError):
@@ -108,11 +106,11 @@ def test_search_grid_bounds_what_a_window_allocates():
 
 
 def test_search_grid_stores_sorted_tuples():
-    """The grid is sorted once, on construction, and a grid given lists
-    is hashable."""
-    grid = SearchGrid(p_values=(3, 1, 5), b_values=(0.5, 0.2))
-    assert grid.p_values == (1, 3, 5) and grid.b_values == (0.2, 0.5)
-    assert hash(SearchGrid(p_values=[0, 1])) == hash(SearchGrid(p_values=(1, 0)))
+    """The b values are sorted once, on construction, and a grid given a
+    list is hashable; p runs from 0 to p_max."""
+    grid = SearchGrid(p_max=5, b_values=(0.5, 0.2))
+    assert grid.p_values == range(6) and grid.b_values == (0.2, 0.5)
+    assert hash(SearchGrid(b_values=[0.2, 0.5])) == hash(SearchGrid(b_values=(0.5, 0.2)))
 
 
 def test_estimate_window_passes_the_grid_b_values_as_stored():
@@ -122,7 +120,7 @@ def test_estimate_window_passes_the_grid_b_values_as_stored():
     cache = ModelDensityCache()
     real = cache.masses
     cache.masses = lambda b_values, *args: seen.append(b_values) or real(b_values, *args)
-    grid = small_grid(p_values=(2, 0), b_values=(0.4, 0.0))
+    grid = small_grid(p_max=2, b_values=(0.4, 0.0))
     x = generate_ar1(Ar1Spec(b=0.3, seed=8), N=30, T=120)
     estimate_window(standardized(x), grid, cache=cache)
     assert len(seen) == 1 and seen[0] is grid.b_values
@@ -147,7 +145,7 @@ def test_residual_eigenvalues_rejects_oversized_p():
     """A 10 x 20 window has rank 10, so p = 11 is refused before scoring."""
     w = standardized(np.random.default_rng(0).normal(size=(10, 20)))
     with pytest.raises(InvalidFactorCount):
-        estimate_window(w, small_grid(p_values=(11,)), cache=UniformCache())
+        estimate_window(w, small_grid(p_max=11), cache=UniformCache())
 
 
 def test_shared_bin_edges_cover_data_and_noise_support():
@@ -182,7 +180,7 @@ def as_dict(result):
     """The result's surface keyed by (p, b)."""
     return {
         (p, b): d
-        for p, row in zip(result.p_values, result.surface.tolist())
+        for p, row in enumerate(result.surface.tolist())
         for b, d in zip(result.b_values, row)
     }
 
@@ -198,7 +196,7 @@ def test_estimate_window_deterministic_and_surface_complete():
     assert a == b
     assert np.array_equal(a.surface, b.surface)
     assert not a.surface.flags.writeable
-    assert a.surface.shape == (len(a.p_values), len(a.b_values))
+    assert a.surface.shape == (grid.p_max + 1, len(a.b_values))
     assert set(as_dict(a)) == {
         (p, bb) for p in grid.p_values for bb in grid.b_values
     }
@@ -211,8 +209,7 @@ def zeroed(eigs, p):
     return vals
 
 
-@pytest.mark.parametrize("p_values", [[0, 1, 2, 3, 4, 5], [2, 3, 5]])
-def test_level_masses_match_histograms_of_zeroed_spectra(p_values):
+def test_level_masses_match_histograms_of_zeroed_spectra():
     """Derived p-level masses equal a fresh histogram of the zeroed spectrum
     bit for bit, including eigenvalues exactly on interior and end edges and
     a stray below the range."""
@@ -221,9 +218,9 @@ def test_level_masses_match_histograms_of_zeroed_spectra(p_values):
     eigs = np.sort(
         np.concatenate([[5.0, 4.0, 2.5, 2.5, 0.25], rng.uniform(0.0, 2.0, 30), [-1e-13]])
     )[::-1]
-    derived = density_from_eigenvalues(eigs, edges, p_values)
-    assert derived.shape == (len(p_values), 20)
-    for row, p in zip(derived, p_values):
+    derived = density_from_eigenvalues(eigs, edges, 5)
+    assert derived.shape == (6, 20)
+    for p, row in enumerate(derived):
         assert np.array_equal(row, density_from_eigenvalues(zeroed(eigs, p), edges))
 
 
@@ -258,13 +255,13 @@ def per_pair_surface(window, grid, cache):
 
 def test_surface_equals_per_pair_route_across_grids_and_spans():
     """Every kept surface entry equals the per-pair route exactly: for a
-    grid whose lowest p is above 0 and arrives unsorted, at c = 0.95 where
-    b = 0.95 fails, and with two grids on one cache, over windows on more
-    than one edge span."""
+    grid whose b values arrive unsorted, at c = 0.95 where b = 0.95 fails,
+    and with two grids on one cache, over windows on more than one edge
+    span."""
     cache = ModelDensityCache()
     grids = (
-        SearchGrid(p_values=(3, 1, 5), bins=37, epsilon=1e-4),
-        SearchGrid(p_values=(0, 1, 2), b_values=(0.2, 0.95, 0.5), bins=37, epsilon=1e-4),
+        SearchGrid(p_max=5, bins=37, epsilon=1e-4),
+        SearchGrid(p_max=2, b_values=(0.2, 0.95, 0.5), bins=37, epsilon=1e-4),
     )
     quiet = generate_ar1(Ar1Spec(b=0.3, seed=45), N=95, T=100)
     spiked = planted_factor_matrix(
@@ -369,7 +366,7 @@ def test_estimate_window_rejects_aspect_ratio_at_least_one():
 def test_check_shape_owns_the_window_rules(n, t, p_max, error):
     """c = N / T < 1 and p <= N are checked by the grid alone, and a window
     that breaks either is refused with the grid's own message."""
-    grid = small_grid(p_values=range(p_max + 1))
+    grid = small_grid(p_max=p_max)
     w = standardized(generate_ar1(Ar1Spec(b=0.3, seed=36), N=n, T=t))
     if error is None:
         grid.check_shape(n, t)
@@ -414,7 +411,7 @@ def make_timeline(end_indices, p_values):
         results=tuple(
             EstimationResult(
                 end_index=e, p_hat=p, b_hat=0.5, divergence=0.1,
-                p_values=(p,), b_values=(0.5,), surface=np.array([[0.1]]),
+                b_values=(0.5,), surface=np.array([[0.1]]),
             )
             for e, p in zip(end_indices, p_values)
         )
