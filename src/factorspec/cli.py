@@ -80,7 +80,7 @@ class RunConfig:
         `WindowSpec` at the smallest row count, N = 2, the seed by
         `operator.index`, and the case name by `case_schedule`. The rules that
         need the record's N are `SearchGrid.check_shape`'s, but as N < T,
-        p_max < window_length is checked here, before a p grid is built."""
+        p_max < window_length is checked here, before any SearchGrid is made."""
         if (self.input_path is None) == (self.case is None):
             raise ConfigError("exactly one of --input or --case is required")
         if self.input_path is not None and not Path(self.input_path).exists():

@@ -36,7 +36,7 @@ DEFAULT_NODES = 2049
 # The Cauchy smoothing sums over every 8th node, 257 of the default 2049:
 # a kernel term per bin edge and node is what binning a new span costs.
 _TAIL_STEP = 8
-_BIN_BLOCK = 16  # bin edges whose Cauchy kernel rows `bin_curve` writes at once
+_BIN_BLOCK = 16  # points whose Cauchy kernel rows `_kernel_sum` fills at once
 _ROOT_TOL = 1e-12  # the relative backward error that `_is_root` accepts
 # `_aberth_roots` stops when no root moves by more than _ABERTH_TOL of itself,
 # or after _ABERTH_STEPS steps; its Newton polish takes the roots from there.
@@ -211,14 +211,32 @@ def model_density_curve(params: NoiseModelParams, nodes: np.ndarray) -> np.ndarr
     return rho
 
 
-def _tail(nodes: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every `_TAIL_STEP`-th node and the last, with the jumps in the slope
-    of rho taken as piecewise linear between them (zero slope outside).
-    The Cauchy smoothing sums over these knots only."""
+def _kernel_sum(kernel, x: np.ndarray, nodes: np.ndarray, rho: np.ndarray, epsilon: float):
+    """sum_j s_j kernel((x - lambda_j) / eps) at each x, over every
+    `_TAIL_STEP`-th node and the last, s_j being the jumps in the slope of
+    rho taken as piecewise linear between these knots (zero slope outside).
+    The (x, knots) kernel array is filled `_BIN_BLOCK` rows at a time, so
+    its temporaries stay block-sized, and summed by one product over the
+    whole array, which keeps the bits of the one-expression form."""
     pick = np.r_[0 : nodes.size - 1 : _TAIL_STEP, nodes.size - 1]
     knots = nodes[pick]
-    slopes = np.diff(rho[pick]) / np.diff(knots)
-    return knots, np.diff(slopes, prepend=0.0, append=0.0)
+    jumps = np.diff(np.diff(rho[pick]) / np.diff(knots), prepend=0.0, append=0.0)
+    rows = np.empty((x.size, knots.size))
+    for start in range(0, x.size, _BIN_BLOCK):
+        block = slice(start, start + _BIN_BLOCK)
+        rows[block] = kernel((x[block, None] - knots) / epsilon)
+    return rows @ jumps
+
+
+def _cdf_kernel(u: np.ndarray) -> np.ndarray:
+    """K(u): a unit slope jump at 0 adds eps^2 K(x / eps) to the smoothed
+    CDF. With a = |u|, K(u) = sign(u) [1/4 - ((a^2 + 1) / 2 atan(1 / a) -
+    a / 2 + (a / 2) ln(1 + a^2) + atan a) / pi], here with atan a = pi/2 -
+    atan(1/a)."""
+    a = np.abs(u)
+    return -np.sign(u) * (
+        0.25 + ((a * a - 1.0) * np.arctan2(1.0, a) - a + a * np.log(1.0 + a * a)) / (2.0 * math.pi)
+    )
 
 
 def _density_kernel(u: np.ndarray) -> np.ndarray:
@@ -233,14 +251,11 @@ def smoothed_density(
     """A density rho, piecewise linear on ascending nodes and 0 at both ends,
     convolved with a Cauchy kernel of finite width epsilon >= EPSILON_MIN,
     at each lambda of a grid: rho(x) + eps sum_j s_j I((x - lambda_j) / eps)
-    over the `_tail` knots, the derivative of the CDF that `bin_curve` bins."""
+    by `_kernel_sum`, the derivative of the CDF that `bin_curve` bins."""
     if not EPSILON_MIN <= epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, at least {EPSILON_MIN}")
     x = np.asarray(lambda_grid, dtype=float)
-    knots, jumps = _tail(nodes, rho)
-    return np.interp(x, nodes, rho) + epsilon * (
-        _density_kernel((x[:, None] - knots) / epsilon) @ jumps
-    )
+    return np.interp(x, nodes, rho) + epsilon * _kernel_sum(_density_kernel, x, nodes, rho, epsilon)
 
 
 def check_density(values: np.ndarray, what: str) -> np.ndarray:
@@ -262,19 +277,12 @@ def bin_curve(
     at both ends, convolved with a Cauchy kernel of width epsilon > 0.
 
     With s_j the jump in rho's slope at node j, the smoothed CDF is
-    C(x) = C0(x) + eps^2 sum_j s_j K((x - lambda_j) / eps), C0 being the
-    unsmoothed CDF; the sum runs over the `_tail` knots. No mass lies below
-    0: the masses are divided by 1 - C(0), and the mass between 0 and the
+    C(x) = C0(x) + eps^2 sum_j s_j K((x - lambda_j) / eps) by `_kernel_sum`
+    and `_cdf_kernel`, C0 being the unsmoothed CDF. No mass lies below 0:
+    the masses are divided by 1 - C(0), and the mass between 0 and the
     first edge joins the first bin. Mass past the last edge folds into the
     last bin. So the masses sum to (m - C(0)) / (1 - C(0)), m being rho's
-    trapezoid mass.
-
-    A unit slope jump at 0 adds eps^2 K(x / eps) to C, where with a = |u|
-    K(u) = sign(u) [1/4 - ((a^2 + 1) / 2 atan(1 / a) - a / 2 + (a / 2)
-    ln(1 + a^2) + atan a) / pi], here with atan a = pi/2 - atan(1/a). K is
-    written into one (edges, knots) array, `_BIN_BLOCK` edges at a time, by
-    in-place ufuncs into three scratch blocks. They take the one-expression
-    form's operations in its order, so the masses keep its bits."""
+    trapezoid mass."""
     x = np.array(bin_edges[:-1], dtype=float)
     x[0] = 0.0
     cells = np.diff(nodes)
@@ -282,21 +290,5 @@ def bin_curve(
     i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, cells.size - 1)
     t = np.clip(x - nodes[i], 0.0, cells[i])
     at_x = cdf[i] + t * (rho[i] + 0.5 * t * (rho[i + 1] - rho[i]) / cells[i])
-    knots, jumps = _tail(nodes, rho)
-    kernel = np.empty((x.size, knots.size))
-    scratch = np.empty((3, min(x.size, _BIN_BLOCK), knots.size))
-    for start in range(0, x.size, _BIN_BLOCK):
-        k = kernel[start : start + _BIN_BLOCK]
-        a, v, w = scratch[:, : k.shape[0]]
-        np.subtract(x[start : start + _BIN_BLOCK, None], knots, out=k)
-        u = np.divide(k, epsilon, out=k)
-        np.abs(u, out=a)
-        np.negative(np.sign(u, out=k), out=k)
-        np.subtract(np.multiply(a, a, out=v), 1.0, out=v)
-        np.subtract(np.multiply(v, np.arctan2(1.0, a, out=w), out=v), a, out=v)
-        np.log(np.add(1.0, np.multiply(a, a, out=w), out=w), out=w)
-        np.add(v, np.multiply(a, w, out=w), out=v)
-        np.add(0.25, np.divide(v, 2.0 * math.pi, out=v), out=v)
-        np.multiply(k, v, out=k)
-    at_x += epsilon * epsilon * (kernel @ jumps)
+    at_x += epsilon * epsilon * _kernel_sum(_cdf_kernel, x, nodes, rho, epsilon)
     return np.diff(np.append(at_x, cdf[-1])) / (1.0 - at_x[0])

@@ -113,11 +113,34 @@ def cauchy_bin_masses(nodes, rho, bin_edges, epsilon: float, step: int = 8) -> n
     i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, cells.size - 1)
     t = np.clip(x - nodes[i], 0.0, cells[i])
     at_x = cdf[i] + t * (rho[i] + 0.5 * t * (rho[i + 1] - rho[i]) / cells[i])
-    pick = np.r_[0 : nodes.size - 1 : step, nodes.size - 1]
-    knots = nodes[pick]
-    jumps = np.diff(np.diff(rho[pick]) / np.diff(knots), prepend=0.0, append=0.0)
+    knots, jumps = cauchy_knots(nodes, rho, step)
     at_x += epsilon * epsilon * (cdf_kernel((x[:, None] - knots) / epsilon) @ jumps)
     return np.diff(np.append(at_x, cdf[-1])) / (1.0 - at_x[0])
+
+
+def cauchy_knots(nodes, rho, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every `step`-th node and the last, and the jumps in the slope of rho
+    taken as linear between them (zero slope outside)."""
+    pick = np.r_[0 : nodes.size - 1 : step, nodes.size - 1]
+    knots = nodes[pick]
+    return knots, np.diff(np.diff(rho[pick]) / np.diff(knots), prepend=0.0, append=0.0)
+
+
+def density_kernel(u) -> np.ndarray:
+    """I(u) = K'(u) = -(a atan(1 / a) + ln(1 + a^2) / 2) / pi with a = |u|."""
+    a = np.abs(u)
+    return -(a * np.arctan2(1.0, a) + 0.5 * np.log(1.0 + a * a)) / np.pi
+
+
+def cauchy_smoothed_density(nodes, rho, grid, epsilon: float, step: int = 8) -> np.ndarray:
+    """The derivative of `cauchy_bin_masses`'s CDF at each point of a grid,
+    in one array expression: rho(x) + eps sum_j s_j I((x - lambda_j) / eps)
+    over the same knots and slope jumps s_j."""
+    x = np.asarray(grid, dtype=float)
+    knots, jumps = cauchy_knots(nodes, rho, step)
+    return np.interp(x, nodes, rho) + epsilon * (
+        density_kernel((x[:, None] - knots) / epsilon) @ jumps
+    )
 
 
 def companion_roots(coeffs) -> np.ndarray:

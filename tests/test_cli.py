@@ -364,6 +364,17 @@ def test_validate_refuses_a_seed_that_is_not_an_integer():
         RunConfig(case="case1", seed=1.5).validate()
 
 
+@pytest.mark.parametrize("name, value", [("p_max", 2.5), ("bins", 20.5)])
+def test_validate_refuses_a_grid_count_that_is_not_an_integer(name, value, tmp_path):
+    """`SearchGrid` refuses a fractional p_max or bin count with a
+    ValueError, told as a ConfigError that names the field, before anything
+    is read or written."""
+    config = RunConfig(case="case1", output_dir=str(tmp_path / "o"), **{name: value})
+    with pytest.raises(ConfigError, match=rf"{name} = {value} must be an integer"):
+        cli.run_detect(config)
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_refuses_a_seed_sequence(tmp_path):
     """numpy seeds a generator from a list, but a run adds k to its seed for
     run k, so a list is refused before anything is read or written."""
@@ -401,7 +412,8 @@ def test_validate_bounds_the_b_grid_before_building_it(monkeypatch):
 @pytest.mark.parametrize("p_max", [30, 10**6])
 def test_validate_bounds_p_max_before_building_the_grid(monkeypatch, p_max):
     """Every window has rank N < T, so p_max >= --window-length can be
-    scored on no window: it is refused before its p grid is built."""
+    scored on no window: it is refused before any record is read or any
+    SearchGrid is made."""
     built = []
     real = cli.SearchGrid
     monkeypatch.setattr(cli, "SearchGrid", lambda *a, **kw: built.append(kw) or real(*a, **kw))
@@ -412,9 +424,9 @@ def test_validate_bounds_p_max_before_building_the_grid(monkeypatch, p_max):
 
 
 def test_validate_refuses_a_huge_p_grid_before_building_it():
-    """p_max < window_length does not bound the p grid, as the window length
-    has no cap: the surface's cell count is checked from the grid's size
-    before any p tuple is made."""
+    """p_max < window_length does not bound the surface, as the window length
+    has no cap: `SearchGrid` checks its cell count from p_max, so it is
+    refused before any record is read, and no SearchGrid is made."""
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:

@@ -69,6 +69,21 @@ def test_search_grid_validation():
         SearchGrid(epsilon=math.inf)
 
 
+@pytest.mark.parametrize("name", ["p_max", "bins"])
+def test_search_grid_refuses_a_count_that_is_not_an_integer(name):
+    """p_max and bins are counts, judged by `operator.index`: 20.5 is refused
+    on construction, naming the field, where a window would otherwise fail
+    with numpy's UFuncTypeError and `sweep` with a bare TypeError."""
+    with pytest.raises(ValueError, match=rf"{name} = 20\.5 must be an integer"):
+        small_grid(**{name: 20.5})
+
+
+def test_search_grid_stores_a_numpy_count_as_its_int():
+    grid = small_grid(p_max=np.int64(3), bins=np.int32(40))
+    assert (type(grid.p_max), type(grid.bins)) == (int, int)
+    assert grid == small_grid()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_a_b_whose_binned_masses_are_not_finite_and_nonnegative_fails():
     """Past the widths the grid is meant for, binning goes wrong: at

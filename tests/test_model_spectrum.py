@@ -3,6 +3,7 @@ smoothing, binning and MP reduction."""
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -277,12 +278,12 @@ def curves():
 
 @pytest.mark.parametrize("bins", [2, 17, 37, 100, 101, 2000])
 def test_bin_curve_is_the_full_array_formula_bit_for_bit(bins, curves):
-    """`bin_curve` writes its Cauchy kernel a block of edges at a time, in
-    place; its masses are the bits of the one-expression formula
-    (`oracles.cauchy_bin_masses`) whether the last block is whole, partial
-    or one edge, on every default b, spans from 2 to 40 and epsilon from
-    1e-2 to 1e-4. At 2000 bins (125 whole blocks) a smaller grid: the
-    full one takes 30 s there."""
+    """`bin_curve` fills its Cauchy kernel rows a block of edges at a time
+    and sums them by one product; its masses are the bits of the
+    one-expression formula (`oracles.cauchy_bin_masses`) whether the last
+    block is whole, partial or one edge, on every default b, spans from 2
+    to 40 and epsilon from 1e-2 to 1e-4. At 2000 bins (125 whole blocks) a
+    smaller grid: the full one takes 30 s there."""
     cs, spans, widths = (0.05, C, 0.9), (2.0, 3.75, 11.75, 40.0), (1e-2, 1e-3, 1e-4)
     if bins == 2000:
         cs, spans, widths = (C,), (3.75, 40.0), (1e-2, 1e-4)
@@ -293,6 +294,38 @@ def test_bin_curve_is_the_full_array_formula_bit_for_bit(bins, curves):
             got = bin_curve(nodes, rho, edges, epsilon)
             want = oracles.cauchy_bin_masses(nodes, rho, edges, epsilon, model_spectrum._TAIL_STEP)
             assert got.tobytes() == want.tobytes(), (b, c, top, epsilon)
+
+
+@pytest.mark.parametrize("points", [1, 15, 16, 17, 2000])
+def test_smoothed_density_is_the_full_array_formula_bit_for_bit(points, curves):
+    """`smoothed_density` fills its kernel rows a block of points at a time;
+    its values are the bits of the one-expression formula
+    (`oracles.cauchy_smoothed_density`) whether the last block is whole,
+    partial or one point, on every default b at three c and two widths."""
+    for c, b in itertools.product((0.05, C, 0.9), B_VALUES):
+        nodes, rho = curves.curve(b, c)
+        grid = np.linspace(0.0, 1.05 * nodes[-1], points)
+        for epsilon in (1e-2, 1e-4):
+            got = smoothed_density(nodes, rho, grid, epsilon)
+            want = oracles.cauchy_smoothed_density(
+                nodes, rho, grid, epsilon, model_spectrum._TAIL_STEP
+            )
+            assert got.tobytes() == want.tobytes(), (b, c, epsilon)
+
+
+def test_smoothing_a_curve_peaks_below_two_kernel_arrays():
+    """Smoothing 2000 points holds the (2000, 257) kernel array and
+    block-sized temporaries: its traced peak stays below twice that array,
+    where whole-array temporaries took about 20 MB."""
+    nodes, rho = exact_curve(0.5, C)
+    grid = np.linspace(0.0, 1.05 * nodes[-1], 2000)
+    tracemalloc.start()
+    try:
+        smoothed_density(nodes, rho, grid, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2000 * 257 * 8, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_model_moments_match_their_closed_forms(curves):
