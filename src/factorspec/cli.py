@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data_model import SIGMA_FLOOR, RawDataSource, WindowSpec, load_csv
+from .data_model import SIGMA_FLOOR, RawDataSource, WindowSpec, index_field, load_csv
 from .datagen import CASES, Ar1Spec, case_schedule, synthesize_case
 from .errors import (
     ConfigError,
@@ -80,7 +80,9 @@ class RunConfig:
         `WindowSpec` at the smallest row count, N = 2, the seed by
         `operator.index`, and the case name by `case_schedule`. The rules that
         need the record's N are `SearchGrid.check_shape`'s, but as N < T,
-        p_max < window_length is checked here, before any SearchGrid is made."""
+        p_max < window_length is checked here, once `WindowSpec` and
+        `index_field` have judged both as integers, before any SearchGrid is
+        made."""
         if (self.input_path is None) == (self.case is None):
             raise ConfigError("exactly one of --input or --case is required")
         if self.input_path is not None and not Path(self.input_path).exists():
@@ -96,9 +98,14 @@ class RunConfig:
                 f"b_step = {self.b_step} would search {round(DEFAULT_B_MAX / self.b_step) + 1} "
                 f"b values: it must be at least {B_STEP_MIN}"
             )
-        if self.p_max >= self.window_length:
+        try:
+            window = WindowSpec(N=2, T=self.window_length, stride=self.stride)
+            p_max = index_field("p_max", self.p_max)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if p_max >= window.T:
             raise ConfigError(
-                f"p_max = {self.p_max} must be below window_length = {self.window_length}: "
+                f"p_max = {p_max} must be below window_length = {window.T}: "
                 "a window's rank is its row count N, and N < T"
             )
         try:
@@ -107,7 +114,6 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"seed = {self.seed!r} must be a non-negative integer") from exc
         try:
-            WindowSpec(N=2, T=self.window_length, stride=self.stride)
             Ar1Spec(b=self.noise_b)
             detect_changes(RunAverage((), (), (), 0), threshold=self.threshold, hold=self.hold)
             if self.case is not None:

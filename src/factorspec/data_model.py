@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import math
 import mmap
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,15 +77,28 @@ class RawDataSource:
         return self.values.shape[1]
 
 
+def index_field(name: str, value) -> int:
+    """`value` as the int that `operator.index` gives, so a numpy integer is
+    taken, or ValueError naming the field if it is not an integer (2.5 or
+    "3")."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ValueError(f"{name} = {value!r} must be an integer") from exc
+
+
 @dataclass(frozen=True)
 class WindowSpec:
-    """Geometry of the moving split-window."""
+    """Geometry of the moving split-window. N, T and stride are stored as
+    the ints that `index_field` gives."""
 
     N: int
     T: int
     stride: int = 1
 
     def __post_init__(self):
+        for name in ("N", "T", "stride"):
+            object.__setattr__(self, name, index_field(name, getattr(self, name)))
         if self.T < 2:
             raise ValueError("window length T must be >= 2")
         if self.N < 2:

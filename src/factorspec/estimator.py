@@ -3,12 +3,18 @@ run averaging, and change-point flagging."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_model import RawDataSource, StandardizedWindow, WindowSpec, cut_window, standardize
+from .data_model import (
+    RawDataSource,
+    StandardizedWindow,
+    WindowSpec,
+    cut_window,
+    index_field,
+    standardize,
+)
 from .divergence import js_divergence_masses, smooth
 from .empirical_spectrum import density_from_eigenvalues
 from .errors import (
@@ -44,7 +50,7 @@ class SearchGrid:
     from 0 to `p_max`, and the b values are stored as a sorted tuple,
     whatever sized sequence is given; the surface's size is checked before
     they are. `p_max` and `bins` are stored as the ints that
-    `operator.index` gives, so a numpy integer is taken and 2.5 refused."""
+    `index_field` gives, so a numpy integer is taken and 2.5 refused."""
 
     p_max: int = 10
     b_values: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(20))
@@ -53,11 +59,7 @@ class SearchGrid:
 
     def __post_init__(self):
         for name in ("p_max", "bins"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError as exc:
-                raise ValueError(f"{name} = {value!r} must be an integer") from exc
+            object.__setattr__(self, name, index_field(name, getattr(self, name)))
         if self.bins < 2:
             raise ValueError("need at least 2 bins")
         if self.bins > BINS_MAX:

@@ -6,11 +6,13 @@ degree at most 2, each node's row built by Horner in z. On the real axis
 the quartic's coefficients are real, and inside the support exactly one
 complex-conjugate pair of roots appears, so the density rho(lambda) = -Im
 G(lambda) / pi is read from the root of that pair with negative imaginary
-part: a closed form at each lambda, with no branch to track, and an
-Aberth-Ehrlich iteration where the closed form fails (`_density_root`).
-The support [lo, hi] is bounded by the critical values of the inverse z(M)
-(`_support`), which are Marchenko-Pastur's (1 -+ sqrt c)^2 at b = 0. The
-density is built on cosine-spaced nodes over the support and taken as
+part: a closed form at each lambda, with no branch to track, polished by
+Newton, and an Aberth-Ehrlich iteration where the closed form fails
+(`_density_root`). The support [lo, hi] is bounded by the critical values
+of the inverse z(M) (`_support`), which are Marchenko-Pastur's (1 -+
+sqrt c)^2 at b = 0, found by bracketed Newton on a real sextic. So a
+build calls no LAPACK routine and no complex eigensolver. The density is
+built on cosine-spaced nodes over the support and taken as
 piecewise linear between them. The width epsilon convolves it with a
 Cauchy kernel; for a piecewise-linear density the smoothed CDF and its
 derivative have closed forms (`bin_curve`, `smoothed_density`).
@@ -39,9 +41,14 @@ _TAIL_STEP = 8
 _BIN_BLOCK = 16  # points whose Cauchy kernel rows `_kernel_sum` fills at once
 _ROOT_TOL = 1e-12  # the relative backward error that `_is_root` accepts
 # `_aberth_roots` stops when no root moves by more than _ABERTH_TOL of itself,
-# or after _ABERTH_STEPS steps; its Newton polish takes the roots from there.
+# or after _ABERTH_STEPS steps; `_polish` takes the root it is used for from there.
 _ABERTH_TOL = 1e-10
 _ABERTH_STEPS = 100
+# `_polish` steps a row again while its last Newton step moved it by more than
+# _POLISH_TOL of itself, at most _POLISH_STEPS times (7 on the default nodes).
+_POLISH_TOL = 1e-12
+_POLISH_STEPS = 16
+_EDGE_STEPS = 64  # a cap on `_edge_root`'s steps; `_support` needs at most 7 values of h
 
 
 @dataclass(frozen=True)
@@ -58,19 +65,6 @@ class NoiseModelParams:
             raise ValueError(f"aspect ratio c={self.c} must be finite and positive")
 
 
-def _newton_refine(m: np.ndarray, coeffs: np.ndarray, steps: int = 2) -> np.ndarray:
-    """Polish roots m (n, k) with Newton steps on the quartic rows coeffs
-    (n, 5), highest degree first. A zero derivative makes the root
-    non-finite: call it under np.errstate."""
-    c4, c3, c2, c1, c0 = coeffs.T[:, :, None]
-    d3, d2, d1 = 4.0 * c4, 3.0 * c3, 2.0 * c2
-    for _ in range(steps):
-        p = (((c4 * m + c3) * m + c2) * m + c1) * m + c0
-        dp = ((d3 * m + d2) * m + d1) * m + c1
-        m = m - p / dp
-    return m
-
-
 def _is_root(m: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """|P(m)| <= _ROOT_TOL * sum_k |c_k| |m|^k for roots m (n, k) of the
     quartic rows coeffs (n, 5): m is an exact root of a quartic whose
@@ -85,11 +79,11 @@ def _is_root(m: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def _aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     """The four roots of each (5,) coefficient row by the Aberth-Ehrlich
-    iteration, then polished by Newton. It starts on the circle |M| =
-    |c0 / c4|^(1/4), the roots' geometric-mean modulus, at angles turned so
-    that no two starts are conjugate, and stops once no root moves by more
-    than _ABERTH_TOL of itself: within 18 steps on each of the 1.57
-    million rows that `_density_root` notes below."""
+    iteration. It starts on the circle |M| = |c0 / c4|^(1/4), the roots'
+    geometric-mean modulus, at angles turned so that no two starts are
+    conjugate, and stops once no root moves by more than _ABERTH_TOL of
+    itself: within 20 steps on each of the 1.57 million rows that
+    `_density_root` notes below, all run through it."""
     a3, a2, a1, a0 = (coeffs[:, 1:] / coeffs[:, :1]).T[:, :, None]
     b3, b2 = 3.0 * a3, 2.0 * a2
     m = np.abs(a0) ** 0.25 * np.exp(1j * (0.4 + 0.5 * math.pi * np.arange(4)))
@@ -100,8 +94,7 @@ def _aberth_roots(coeffs: np.ndarray) -> np.ndarray:
         m = m - step
         if np.all(np.abs(step) <= _ABERTH_TOL * np.abs(m)):
             break
-    polished = _newton_refine(m, coeffs)
-    return np.where(np.isfinite(polished), polished, m)
+    return m
 
 
 def _density_root(zs: np.ndarray, b: float, c: float) -> np.ndarray:
@@ -113,14 +106,15 @@ def _density_root(zs: np.ndarray, b: float, c: float) -> np.ndarray:
 
     Ferrari in real arithmetic: the resolvent cubic has one real root s > 0,
     which splits the quartic into two real quadratics, and M is a root of
-    the one whose discriminant is negative. M is polished by three Newton
-    steps. A row whose M fails `_is_root` is solved by `_aberth_roots`
-    instead; that includes a non-finite M, which is what an edge row gives
-    when rounding makes s or a radicand negative. On the default
-    nodes 10 rows in 1.57 million fall back (b from 0 to 0.95 by 0.01, 8 c
-    from 0.01 to 0.99), each at one of the last three nodes below the upper
-    edge at b >= 0.94 and c >= 0.47. Every row is computed the same way
-    whatever n is, so a z gets the same bits in any batch."""
+    the one whose discriminant is negative. Next to an edge the pair nearly
+    meets, so Ferrari's M can be off by 5e-4 of itself there; `_polish`
+    takes it to the root by Newton. A row whose M then fails `_is_root` is
+    solved by `_aberth_roots` instead; that includes a non-finite M, which
+    is what an edge row gives when rounding makes s or a radicand negative.
+    On the default nodes 2 rows in 1.57 million fall back (b from 0 to 0.95
+    by 0.01, 8 c from 0.01 to 0.99), each at the last node below the upper
+    edge, at b = 0.95 and c = 0.43 and 0.71. Every row is computed the same
+    way whatever n is, so a z gets the same bits in any batch."""
     a4 = (1.0 - b * b) * (1.0 - b * b)
     w = -2.0 * (1.0 - b * b) * c * (1.0 + b * b)
     coeffs = np.empty((5, zs.size)).T  # column-major: the Horner sums read columns
@@ -152,36 +146,103 @@ def _density_root(zs: np.ndarray, b: float, c: float) -> np.ndarray:
         # the quadratics y^2 -+ k y + p / 2 + s +- qk / 2: the one with the
         # larger constant term has the complex pair
         m = np.copysign(0.5 * k, qk) - shift - 0.5j * np.sqrt(2.0 * (p + s + np.abs(qk)))
-        m = _newton_refine(m[:, None], coeffs, steps=3)
-        failed = ~_is_root(m, coeffs)[:, 0]
+        m = _polish(m, coeffs)
+        failed = ~_is_root(m[:, None], coeffs)[:, 0]
         if failed.any():
             roots = _aberth_roots(coeffs[failed])
-            m[failed, 0] = roots[np.arange(roots.shape[0]), np.argmin(roots.imag, axis=1)]
-    return m[:, 0]
+            m[failed] = _polish(
+                roots[np.arange(roots.shape[0]), np.argmin(roots.imag, axis=1)], coeffs[failed]
+            )
+    return m
+
+
+def _polish(m: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Newton steps on the roots m (n,) with Im m < 0 of the quartic rows
+    coeffs (n, 5), written into m, each row on its own and only on the rows
+    still moving. A row takes a step only if it keeps Im m < 0 and, after
+    the first, is at most half the last one, so Newton converges or the row
+    stops: at a near-double root rounding stalls the steps, and a larger
+    one would leave for another root. It steps again while its last step
+    was above _POLISH_TOL of |m|. On the default nodes (b from 0 to 0.95 by
+    0.01, 8 c from 0.01 to 0.99) each of the 1.57 million rows computes one
+    step, 22% a second, 0.6% a third, and one row the most, 7."""
+    rows, last, x, cols = np.arange(m.size), math.inf, m, coeffs.T
+    for _ in range(_POLISH_STEPS):
+        c4, c3, c2, c1, c0 = cols
+        step = ((((c4 * x + c3) * x + c2) * x + c1) * x + c0) / (
+            ((4.0 * c4 * x + 3.0 * c3) * x + 2.0 * c2) * x + c1
+        )
+        x = x - step
+        size = np.abs(step)
+        take = (size <= 0.5 * last) & (x.imag < 0)
+        m[rows[take]] = x[take]
+        moving = take & (size > _POLISH_TOL * np.abs(x))
+        if not moving.any():
+            break
+        rows, last, x, cols = rows[moving], size[moving], x[moving], cols[:, moving]
+    return m
+
+
+def _edge_root(h, v: float, near: float, far: float) -> float:
+    """The root of h, monotone between near, where h > 0, and far, where
+    h < 0, by Newton steps from v between them. Each value of h narrows the
+    bracket, and a step that leaves it is replaced by bisection. It stops
+    once a step is below 1e-14 of v, which it takes."""
+    for _ in range(_EDGE_STEPS):
+        value, slope = h(v)
+        step = value / slope
+        if abs(step) <= 1e-14 * abs(v):
+            return v - step
+        near, far = (v, far) if value > 0 else (near, v)
+        v -= step
+        if not min(near, far) < v < max(near, far):
+            v = 0.5 * (near + far)
+    return v
 
 
 def _support(params: NoiseModelParams) -> tuple[float, float]:
     """The support [lo, hi] of the model density, the critical values of
     z(M) (Silverstein and Choi 1995). In t = M z / (M + 1) the quartic is
     (1 - b^2)^2 (M + 1)^2 (t^2 - k M t + c^2 M^2 - 1), k = 2 c (1 + b^2) /
-    (1 - b^2), a conic, and dz/dM = 0 for z = t (M + 1) / M at the two real
-    roots (Descartes) of 4 c^4 b^2 M^6 + c^2 (1 + b^2)^2 M^4 + 8 c^2 b^2 M^3
-    - (1 - b^2)^2, where t = (1 + c^2 M^3) (1 - b^2) / (c (1 + b^2) M^2).
-    In v = 1 / (sqrt(c) M), of order 1 at small c, no coefficient cancels
-    and z = (v^2 + sqrt(c) / v) (1 + sqrt(c) v) (1 - b^2) / (1 + b^2). At
-    b = 0, v = -+1 gives (1 -+ sqrt c)^2; at c = 1, v = -1 + e gives
-    lo = -3 e^2 (1 - b^2) / (1 + b^2) <= 0, which is refused."""
+    (1 - b^2), a conic, and dz/dM = 0 for z = t (M + 1) / M at the real
+    roots of 4 c^4 b^2 M^6 + c^2 (1 + b^2)^2 M^4 + 8 c^2 b^2 M^3 - (1 -
+    b^2)^2, where t = (1 + c^2 M^3) (1 - b^2) / (c (1 + b^2) M^2). In
+    v = 1 / (sqrt(c) M), of order 1 at small c, no coefficient cancels: z =
+    (v^2 + sqrt(c) / v) (1 + sqrt(c) v) (1 - b^2) / (1 + b^2), and the
+    sextic is v^2 h(v) with h = q + d / v^2 + e v - a v^4, a = (1 - b^2)^2,
+    q = (1 + b^2)^2, e = 8 sqrt(c) b^2 and d = 4 b^2 c.
+
+    So each sign of v holds one root, found in real arithmetic by
+    `_edge_root`. For v < 0, h' = e - 2 d / v^3 - 4 a v^3 > 0, and h rises
+    to +inf (to q at b = 0). For v > 0, h > 0 below s, the largest of g =
+    (q / a)^(1/4), f = (d / a)^(1/6) and (e / a)^(1/3), where a v^4 meets
+    q, d / v^2 and e v; past s, a v^3 >= e, so h' < 0. At -+2 s, a v^4
+    exceeds q + d / v^2 + e |v|, so h < 0. The search for v > 0 starts at
+    s, and for v = -u < 0 where the larger of a u^4 and e u meets the
+    larger of q and d / u^2, so it takes at most 7 values of h for any b
+    and any c up to 5e102. At b = 0, h = 1 - v^4, and v = -+1 gives (1 -+
+    sqrt c)^2. At c = 1, v = -1 + eps gives lo = -3 eps^2 (1 - b^2) / (1 +
+    b^2) <= 0, which is refused."""
     b, c = params.b, params.c
     b2, r = b * b, math.sqrt(c)
-    edges = np.zeros(0)
+    lo = hi = math.nan
     if c * c * c < math.inf:  # then so is hi^2, the size of the quartic on the support
-        # np.roots gives a zero constant term (b = 0) the root 0; a real root has imag 0
-        v = np.roots([-((1 - b2) ** 2), 0, 0, 8 * r * b2, (1 + b2) ** 2, 0, 4 * b2 * c])
-        v = v[(v.imag == 0) & (v != 0)].real
-        edges = np.sort((v * v + r / v) * (1 + r * v) * (1 - b2) / (1 + b2))
-    if not (edges.size == 2 and 0.0 < edges[0] < edges[1]):
-        raise ModelDensityError(f"no support 0 < lo < hi at b={b}, c={c}: edges {edges}")
-    return float(edges[0]), float(edges[1])
+        a, q, e, d = (1 - b2) ** 2, (1 + b2) ** 2, 8 * r * b2, 4 * b2 * c
+
+        def h(v):
+            v2 = v * v
+            return q + d / v2 + v * (e - a * v2 * v), e - 2 * d / (v2 * v) - 4 * a * v2 * v
+
+        def z(v):
+            return (v * v + r / v) * (1 + r * v) * (1 - b2) / (1 + b2)
+
+        g, f = (q / a) ** 0.25, (d / a) ** (1 / 6)
+        s = max(g, f, (e / a) ** (1 / 3))
+        t = min(max(g, f), max(q / e, (d / e) ** (1 / 3))) if e else g
+        lo, hi = z(_edge_root(h, -t, 0.0, -2 * s)), z(_edge_root(h, s, s, 2 * s))
+    if not 0.0 < lo < hi:
+        raise ModelDensityError(f"no support 0 < lo < hi at b={b}, c={c}: edges ({lo}, {hi})")
+    return lo, hi
 
 
 def default_lambda_grid(

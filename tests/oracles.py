@@ -3,6 +3,7 @@
 Nothing here imports from the package under test, so agreement between the
 two implementations is meaningful evidence.
 """
+import mpmath
 import numpy as np
 
 
@@ -10,6 +11,23 @@ def mp_support(c: float) -> tuple[float, float]:
     """Marchenko-Pastur support edges [(1 - sqrt(c))^2, (1 + sqrt(c))^2]."""
     r = np.sqrt(c)
     return (1.0 - r) ** 2, (1.0 + r) ** 2
+
+
+def mp_model_support(b: float, c: float) -> list[tuple[mpmath.mpf, mpmath.mpf]]:
+    """The AR(1) model's support edges at 60 digits, each with the real root
+    v of the sextic -(1 - b^2)^2 v^6 + 8 sqrt(c) b^2 v^3 + (1 + b^2)^2 v^2
+    + 4 b^2 c that gives it: [(v_lo, lo), (v_hi, hi)], with z(v) = (v^2 +
+    sqrt(c) / v) (1 + sqrt(c) v) (1 - b^2) / (1 + b^2). The float b and c
+    are taken exactly, and the roots come from mpmath's Durand-Kerner
+    iteration. At b = 0 the double root v = 0 is divided out first."""
+    with mpmath.workdps(60):
+        b2, c = mpmath.mpf(b) ** 2, mpmath.mpf(c)
+        r = mpmath.sqrt(c)
+        coeffs = [-((1 - b2) ** 2), 0, 0, 8 * r * b2, (1 + b2) ** 2, 0, 4 * b2 * c]
+        roots = mpmath.polyroots(coeffs if b2 else coeffs[:5], maxsteps=100, extraprec=60)
+        real = sorted(mpmath.re(v) for v in roots if abs(mpmath.im(v)) < mpmath.mpf(10) ** -50 * abs(v))
+        assert len(real) == 2, (b, c, roots)
+        return [(v, (v * v + r / v) * (1 + r * v) * (1 - b2) / (1 + b2)) for v in real]
 
 
 def mp_density(lam, c: float) -> np.ndarray:

@@ -375,6 +375,27 @@ def test_validate_refuses_a_grid_count_that_is_not_an_integer(name, value, tmp_p
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("stride", 2.5, r"stride = 2\.5 must be an integer"),
+        ("window_length", 250.5, r"T = 250\.5 must be an integer"),
+        ("p_max", "3", r"p_max = '3' must be an integer"),
+    ],
+    ids=["stride", "window_length", "p_max"],
+)
+def test_validate_refuses_a_window_size_that_is_not_an_integer(field, value, message, tmp_path):
+    """A fractional stride or window length passed `validate` and failed the
+    run with a bare TypeError, and a string p_max failed `validate` itself,
+    at its comparison with the window length. `WindowSpec` and
+    `index_field` judge them first, told as a ConfigError that names the
+    field, before anything is read or written."""
+    config = RunConfig(case="case1", output_dir=str(tmp_path / "o"), **{field: value})
+    with pytest.raises(ConfigError, match=message):
+        cli.run_detect(config)
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_refuses_a_seed_sequence(tmp_path):
     """numpy seeds a generator from a list, but a run adds k to its seed for
     run k, so a list is refused before anything is read or written."""

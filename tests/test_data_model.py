@@ -46,6 +46,21 @@ def test_window_spec_rejects_bad_geometry():
         WindowSpec(N=10, T=20, stride=0)
 
 
+@pytest.mark.parametrize("name", ["N", "T", "stride"])
+def test_window_spec_refuses_a_size_that_is_not_an_integer(name):
+    """N, T and stride are counts, judged by `operator.index` as
+    `SearchGrid` judges its counts: 20.5 is refused on construction, naming
+    the field, where a sweep would fail with a bare TypeError."""
+    with pytest.raises(ValueError, match=rf"{name} = 20\.5 must be an integer"):
+        WindowSpec(**{"N": 6, "T": 30, "stride": 1, name: 20.5})
+
+
+def test_window_spec_stores_a_numpy_size_as_its_int():
+    spec = WindowSpec(N=np.int64(6), T=np.int32(30), stride=np.uint8(2))
+    assert [type(x) for x in (spec.N, spec.T, spec.stride)] == [int, int, int]
+    assert spec == WindowSpec(N=6, T=30, stride=2)
+
+
 def test_cut_window_block_matches_manual_slice(source):
     spec = WindowSpec(N=6, T=10)
     w = cut_window(source, spec, end_index=25)

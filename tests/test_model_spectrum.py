@@ -129,25 +129,47 @@ def test_a_root_that_fails_the_check_is_solved_by_the_fallback(monkeypatch):
 def test_the_default_curves_build_without_complex_eigvals(monkeypatch):
     """No model build calls `numpy.linalg.eigvals` (LAPACK zgeev): with it
     made to raise, a fresh cache builds the 20 default curves at c =
-    118/250, where the fallback solves a row (b = 0.95, next to the upper
-    edge). `np.roots`, which `_support` calls, binds its own eigvals."""
+    118/250 with the fallback solving one row of each. No default row there
+    fails `_is_root` any more, so each curve's last inner row is made to
+    fail it, as the forced rows of the test above are."""
 
     def refused(*args, **kwargs):
         raise AssertionError("numpy.linalg.eigvals was called")
 
     rows = []
-    real_fallback = model_spectrum._aberth_roots
+    real_check, real_fallback = model_spectrum._is_root, model_spectrum._aberth_roots
+
+    def last_row_fails(m, coeffs):
+        return real_check(m, coeffs) & (np.arange(m.shape[0]) < m.shape[0] - 1)[:, None]
 
     def counted(coeffs):
         rows.append(len(coeffs))
         return real_fallback(coeffs)
 
     monkeypatch.setattr(np.linalg, "eigvals", refused)
+    monkeypatch.setattr(model_spectrum, "_is_root", last_row_fails)
     monkeypatch.setattr(model_spectrum, "_aberth_roots", counted)
     cache = ModelDensityCache()
     for b in B_VALUES:
         cache.curve(b, C)
-    assert sum(rows) >= 1
+    assert rows == [1] * len(B_VALUES)
+
+
+@pytest.mark.parametrize("c", [C, 1e-12])
+def test_the_default_curves_build_without_lapack_root_finders(c, monkeypatch):
+    """No model build calls `np.roots` (LAPACK dgeev on a companion matrix)
+    or `numpy.linalg.eigvals`: with both made to raise, a fresh cache builds
+    the 20 default curves, support edges included, at c = 118/250 and at c
+    = 1e-12, where the support is at most 1.8e-5 wide."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a LAPACK root finder was called")
+
+    monkeypatch.setattr(np, "roots", refused)
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    cache = ModelDensityCache()
+    for b in B_VALUES:
+        cache.curve(b, c)
 
 
 def test_support_edges_equal_marchenko_pastur_at_b_zero():
@@ -157,6 +179,33 @@ def test_support_edges_equal_marchenko_pastur_at_b_zero():
         nodes = default_lambda_grid(NoiseModelParams(b=0.0, c=c))
         assert nodes[[0, -1]] == pytest.approx(oracles.mp_support(c), rel=1e-10, abs=0.0)
         assert np.all(np.diff(nodes) > 0)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 0.01, 0.1, C, 0.9, 0.99])
+def test_support_edges_match_sixty_digit_roots(c):
+    """Each edge is z = f1 f2 (1 - b^2) / (1 + b^2), f1 = v^2 + r / v and
+    f2 = 1 + r v, at a real root v of the sextic, r = sqrt(c). Against the
+    60-digit edges (`oracles.mp_model_support`) it errs by at most a
+    first-order bound, fixed from the computation: with u = 2^-53, beta =
+    b^2 / (1 - b^2), and k1 = (v^2 + r / |v|) / |f1| and k2 = (1 + r |v|) /
+    |f2| the cancellation in each factor,
+    - rounding r costs (k1 + k2) u, evaluating f1 and f2 (k1 + 1) u and
+      (k2 + 1) u, rounding b^2 (beta + 1) u in (1 - b^2) / (1 + b^2), and
+      its three operations and the two products 5 u;
+    - h's coefficients carry (3 + 2 beta) u and its value at the last
+      Newton step about 5 u. The roots are well conditioned (h's four terms
+      sum to at most 2 |v h'(v)| at a root), so v errs by eta = 2 (8 + 2
+      beta) u, which moves ln z by at most (2 k1 + k2) eta."""
+    u, r = 2.0**-53, math.sqrt(c)
+    for b in B_VALUES:
+        beta = b * b / (1 - b * b)
+        got = model_spectrum._support(NoiseModelParams(b=b, c=c))
+        for (v, want), edge in zip(oracles.mp_model_support(b, c), got):
+            v = float(v)
+            k1 = (v * v + r / abs(v)) / abs(v * v + r / v)
+            k2 = (1 + r * abs(v)) / abs(1 + r * v)
+            bound = u * ((2 * k1 + k2) * 2 * (8 + 2 * beta) + 2 * (k1 + k2) + beta + 8)
+            assert abs(edge - want) <= bound * abs(want), (b, c, v)
 
 
 def test_support_edges_bound_the_quartics_complex_pair():
